@@ -1,10 +1,14 @@
 """Correlation estimation, CHSH combinations, and no-signaling reports.
 
-Estimators fold click streams into per-setting-pair counts.  The raw
-expectation keeps non-detections in the product (a zero outcome contributes a
-zero product), which puts the estimator on the same footing as the exact
-finite-model contraction; the coincidence expectation conditions on both
-wings having clicked.  The shared-space bound is established constructively:
+Every Bell estimate is a function of the outcome-count tensor
+`counts[x, y, a, b]` of `simulate.PairCounts`, folded from a stream by
+`PairCounts.from_stream` or from generated chunks by `simulate.run_counts`.
+The raw expectation keeps non-detections in the product (a zero outcome
+contributes a zero product), which puts the estimator on the same footing as
+the exact finite-model contraction; the coincidence expectation conditions on
+both wings having clicked.  Both come with standard errors from exact integer
+moments.  The no-signaling tables sum the same tensor over the other wing's
+outcomes.  The shared-space bound is established constructively:
 enumerating all deterministic +-1 assignments to the four CHSH observables
 shows every vertex reaches |S| = 2 and none exceeds it, and mixtures are
 convex combinations of vertices.
@@ -22,10 +26,7 @@ import numpy as np
 from .errors import IncompleteDesignError, InsufficientDataError
 from .models import SettingPair
 from .randtests import TestReport, chi_square_table
-from .simulate import SelectiveModel, SettingsSchedule, TrialStream, run_experiment
-
-OUTCOME_INDEX = {-1: 0, 0: 1, 1: 2}
-OUTCOME_VALUES = (-1, 0, 1)
+from .simulate import PairCounts, SelectiveModel, SettingsSchedule, TrialStream, run_counts
 
 # standard maximizer for cosine-law correlations in the 2*theta convention
 DEFAULT_CHSH_SETTINGS = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
@@ -66,53 +67,46 @@ class CorrelationEstimate:
         raise ValueError(f"mode must be 'raw' or 'coincidence', got {mode!r}")
 
 
-def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    n = len(values)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+def _counted(stream: TrialStream | PairCounts) -> PairCounts:
+    return stream if isinstance(stream, PairCounts) else PairCounts.from_stream(stream)
+
+
+def _mean_and_se(n: int, s1: int, s2: int) -> tuple[float, float]:
+    """Mean and standard error of n values with sum s1 and sum of squares s2.
+
+    s1 / n is the float mean of the values bit for bit.  The squared standard
+    error (n*s2 - s1**2) / (n**2 * (n - 1)) is a ratio of exact integers
+    rounded once, so its square root is within one ulp of the exact value.
+    """
+    mean = s1 / n
+    se = math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1))) if n > 1 else 0.0
     return mean, se
 
 
-def estimate_correlations(stream: TrialStream) -> dict[SettingPair, CorrelationEstimate]:
-    """One estimate per distinct setting pair, in first-appearance order."""
-    if len(stream) == 0:
+def _estimate(pair: SettingPair, counts: np.ndarray) -> CorrelationEstimate:
+    """The estimate of one pair from its 3x3 outcome counts."""
+    n = int(counts.sum())
+    # the product a*b is +1 on the (-1,-1) and (+1,+1) cells, -1 on the
+    # (-1,+1) and (+1,-1) cells and 0 elsewhere; its square marks coincidences
+    s1 = int(counts[0, 0] + counts[2, 2] - counts[0, 2] - counts[2, 0])
+    n_coinc = int(counts[0, 0] + counts[2, 2] + counts[0, 2] + counts[2, 0])
+    raw, raw_se = _mean_and_se(n, s1, n_coinc)
+    c_mean, c_se = _mean_and_se(n_coinc, s1, n_coinc) if n_coinc else (None, None)
+    return CorrelationEstimate(pair, counts, n, raw, raw_se, n_coinc, c_mean, c_se)
+
+
+def estimate_correlations(
+    stream: TrialStream | PairCounts,
+) -> dict[SettingPair, CorrelationEstimate]:
+    """One estimate per setting pair (angles taken modulo 2*pi), in order of
+    first appearance; a stream is folded into `PairCounts` first."""
+    folded = _counted(stream)
+    if len(folded) == 0:
         raise InsufficientDataError("empty stream")
     estimates: dict[SettingPair, CorrelationEstimate] = {}
-    keys = np.stack([stream.x, stream.y], axis=1)
-    unique, first_index, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_index)
-    for u in order:
-        x, y = float(unique[u, 0]), float(unique[u, 1])
-        mask = inverse == u
-        a = stream.a[mask].astype(float)
-        b = stream.b[mask].astype(float)
-        counts = np.zeros((3, 3), dtype=np.int64)
-        for av in OUTCOME_VALUES:
-            for bv in OUTCOME_VALUES:
-                counts[OUTCOME_INDEX[av], OUTCOME_INDEX[bv]] = int(
-                    np.sum((a == av) & (b == bv))
-                )
-        products = a * b
-        raw, raw_se = _mean_and_se(products)
-        coinc_mask = (a != 0) & (b != 0)
-        n_coinc = int(coinc_mask.sum())
-        if n_coinc > 0:
-            c_mean, c_se = _mean_and_se(products[coinc_mask])
-        else:
-            c_mean, c_se = None, None
-        pair = SettingPair(x, y)
-        estimates[pair] = CorrelationEstimate(
-            pair=pair,
-            counts=counts,
-            n_trials=int(mask.sum()),
-            raw_expectation=raw,
-            raw_se=raw_se,
-            n_coincidences=n_coinc,
-            coincidence_expectation=c_mean,
-            coincidence_se=c_se,
-        )
+    for i, j in folded.pairs:
+        pair = SettingPair(folded.x_settings[i], folded.y_settings[j])
+        estimates[pair] = _estimate(pair, folded.counts[i, j])
     return estimates
 
 
@@ -231,60 +225,53 @@ class NoSignalingReport:
 
 
 def _singles_tests(
-    stream: TrialStream,
-    wing: str,
-    alpha: float,
-    postselected: bool,
+    folded: PairCounts, tensor: np.ndarray, label: str, alpha: float
 ) -> list[TestReport]:
-    own = stream.x if wing == "A" else stream.y
-    other = stream.y if wing == "A" else stream.x
-    outcomes = stream.a if wing == "A" else stream.b
-    keep = np.ones(len(stream), dtype=bool)
-    if postselected:
-        keep = (stream.a != 0) & (stream.b != 0)
+    """Chi-square tests of each wing's outcome counts (`tensor` summed over the
+    other wing's outcomes) across the counterpart settings that have trials."""
     reports = []
-    for s in sorted(set(own.tolist())):
-        mask_s = (own == s) & keep
-        counterparts = sorted(set(other[mask_s].tolist()))
-        if len(counterparts) < 2:
-            continue
-        table = np.zeros((len(counterparts), 3), dtype=np.int64)
-        for row, c in enumerate(counterparts):
-            sel = outcomes[mask_s & (other == c)]
-            for v in OUTCOME_VALUES:
-                table[row, OUTCOME_INDEX[v]] = int(np.sum(sel == v))
-        stat, dof, p = chi_square_table(table)
-        label = "postselected-singles" if postselected else "raw-singles"
-        reports.append(
-            TestReport(
-                name=f"{label}:{wing}|setting={s:g}",
-                statistic=stat,
-                null_ref=f"chi2(df={dof})",
-                p_value=p,
-                alpha=alpha,
-                n=int(table.sum()),
-                details={"counterpart_settings": counterparts, "counts": table.tolist()},
+    for wing, own, other, singles in (
+        ("A", folded.x_settings, folded.y_settings, tensor.sum(axis=3)),
+        ("B", folded.y_settings, folded.x_settings, tensor.sum(axis=2).transpose(1, 0, 2)),
+    ):
+        for i in sorted(range(len(own)), key=own.__getitem__):
+            rows = sorted(np.flatnonzero(singles[i].sum(axis=1)).tolist(), key=other.__getitem__)
+            if len(rows) < 2:
+                continue
+            table = singles[i, rows]
+            stat, dof, p = chi_square_table(table)
+            reports.append(
+                TestReport(
+                    name=f"{label}:{wing}|setting={own[i]:g}",
+                    statistic=stat,
+                    null_ref=f"chi2(df={dof})",
+                    p_value=p,
+                    alpha=alpha,
+                    n=int(table.sum()),
+                    details={
+                        "counterpart_settings": [other[j] for j in rows],
+                        "counts": table.tolist(),
+                    },
+                )
             )
-        )
     return reports
 
 
 def no_signaling_report(
-    stream: TrialStream,
+    stream: TrialStream | PairCounts,
     alpha_raw: float = 0.01,
     alpha_postselected: float = 0.001,
 ) -> NoSignalingReport:
-    raw = _singles_tests(stream, "A", alpha_raw, False) + _singles_tests(
-        stream, "B", alpha_raw, False
-    )
+    folded = _counted(stream)
+    raw = _singles_tests(folded, folded.counts, "raw-singles", alpha_raw)
     if not raw:
         raise InsufficientDataError(
             "no-signaling comparison needs at least two counterpart settings "
             "for some setting of some wing"
         )
-    post = _singles_tests(stream, "A", alpha_postselected, True) + _singles_tests(
-        stream, "B", alpha_postselected, True
-    )
+    clicked = np.array([1, 0, 1])  # keeps the block where both wings clicked
+    both = folded.counts * np.outer(clicked, clicked)
+    post = _singles_tests(folded, both, "postselected-singles", alpha_postselected)
     return NoSignalingReport(raw_tests=tuple(raw), postselected_tests=tuple(post))
 
 
@@ -402,10 +389,10 @@ def calibration_sweep(
         min_rate = 1.0
         for pi, (xx, yy) in enumerate(pair_list):
             schedule = SettingsSchedule("cycle", (xx,), (yy,))
-            stream = run_experiment(
+            folded = run_counts(
                 model, schedule, trials_per_point, master_seed=(master_seed, di, pi)
             )
-            est = next(iter(estimate_correlations(stream).values()))
+            est = _estimate(SettingPair(xx, yy), folded.counts[0, 0])
             e, _ = est.expectation("coincidence")
             s_mc += signs[pi] * e
             min_rate = min(min_rate, est.n_coincidences / est.n_trials)

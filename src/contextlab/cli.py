@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +58,11 @@ from .randtests import (
 from .seeding import substream
 from .simulate import (
     MalusModel,
+    PairCounts,
     SelectiveModel,
     SettingsSchedule,
     read_stream_csv,
+    run_counts,
     run_experiment,
     stream_metadata,
     write_stream_csv,
@@ -107,6 +110,14 @@ def parse_float_list(text: str) -> tuple[float, ...]:
         return tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
         raise UsageError(f"cannot parse number list {text!r}: {exc}") from None
+
+
+def _number(config: dict, key: str, kind: type = int):
+    """`config[key]` as an int or a float; a value that does not parse is a usage error."""
+    try:
+        return kind(config[key])
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be of type {kind.__name__}, got {config[key]!r}") from None
 
 
 def out_path(name: str | Path) -> Path:
@@ -159,8 +170,8 @@ def write_effective_config(config: dict, command: str, artifact: Path) -> Path:
 def emit_plot_data(results, path) -> Path:
     """Write labeled whitespace-separated columns consumable by any plotter.
 
-    Accepts a (header, rows) pair, an object with a .series() method, a
-    correlation-estimate mapping, or a list of test reports.
+    Accepts a (header, rows) pair, an object with a .series() method, or a
+    correlation-estimate mapping.
     """
     if hasattr(results, "series"):
         header, rows = results.series()
@@ -178,9 +189,6 @@ def emit_plot_data(results, path) -> Path:
             )
             for pair, est in results.items()
         ]
-    elif isinstance(results, (list, tuple)) and results and hasattr(results[0], "p_value"):
-        header = ("name", "statistic", "p_value", "reject")
-        rows = [(t.name, t.statistic, t.p_value, int(t.reject)) for t in results]
     else:
         header, rows = results
     p = out_path(path)
@@ -196,7 +204,9 @@ def build_model(config: dict):
     if kind == "malus":
         return MalusModel()
     if kind == "selective":
-        return SelectiveModel(float(config["sharpness"]), float(config["asymmetry"]))
+        return SelectiveModel(
+            _number(config, "sharpness", float), _number(config, "asymmetry", float)
+        )
     if isinstance(kind, str) and kind.endswith(".json"):
         return load_model(kind)
     raise ConfigError(f"unknown model {kind!r} (use malus, selective, or a .json path)")
@@ -227,17 +237,14 @@ def cmd_bell_run(args) -> int:
     xs = parse_angle_list(str(config["x-settings"]))
     ys = parse_angle_list(str(config["y-settings"]))
     schedule = SettingsSchedule(
-        str(config["schedule"]), xs, ys, seed=int(config["schedule-seed"])
+        str(config["schedule"]), xs, ys, seed=_number(config, "schedule-seed")
     )
-    n = int(config["n-trials"])
-    stream = run_experiment(
-        model, schedule, n, int(config["master-seed"]), int(config["chunk-size"])
-    )
+    n = _number(config, "n-trials")
+    seed = _number(config, "master-seed")
+    chunk_size = _number(config, "chunk-size")
+    stream = run_experiment(model, schedule, n, seed, chunk_size)
     target = out_path(config["out"])
-    meta = stream_metadata(
-        model, schedule, n, int(config["master-seed"]), int(config["chunk-size"])
-    )
-    write_stream_csv(stream, target, meta)
+    write_stream_csv(stream, target, stream_metadata(model, schedule, n, seed, chunk_size))
     config_path = write_effective_config(config, "bell-run", target)
     print(f"wrote {len(stream)} trials to {target}")
     print(f"effective config: {config_path}")
@@ -260,7 +267,8 @@ def cmd_bell_analyze(args) -> int:
     if not config["stream"]:
         raise UsageError("bell-analyze requires --stream")
     stream = read_stream_csv(config["stream"])
-    estimates = estimate_correlations(stream)
+    folded = PairCounts.from_stream(stream)
+    estimates = estimate_correlations(folded)
 
     print(f"{'x':>10} {'y':>10} {'n':>8} {'raw E':>9} {'raw SE':>8} {'coinc E':>9} {'coinc SE':>9}")
     for pair, est in estimates.items():
@@ -311,7 +319,9 @@ def cmd_bell_analyze(args) -> int:
 
     try:
         ns = no_signaling_report(
-            stream, float(config["alpha-raw"]), float(config["alpha-postselected"])
+            folded,
+            _number(config, "alpha-raw", float),
+            _number(config, "alpha-postselected", float),
         )
         for t in ns.all_tests():
             flag = "REJECT" if t.reject else "ok"
@@ -374,9 +384,9 @@ def cmd_sweep(args) -> int:
     result = calibration_sweep(
         d_grid=parse_float_list(str(config["d-grid"])),
         settings=parse_angle_list(str(config["settings"])),
-        trials_per_point=int(config["trials-per-point"]),
-        master_seed=int(config["master-seed"]),
-        asymmetry=float(config["asymmetry"]),
+        trials_per_point=_number(config, "trials-per-point"),
+        master_seed=_number(config, "master-seed"),
+        asymmetry=_number(config, "asymmetry", float),
     )
     print(f"{'d':>6} {'|S| quad':>10} {'|S| MC':>10} {'discrepancy':>12} {'min rate':>9}")
     for row in result.rows:
@@ -392,29 +402,9 @@ def cmd_sweep(args) -> int:
     )
     if config["report"]:
         path = out_path(config["report"])
-        path.write_text(
-            json.dumps(
-                {
-                    "asymmetry": result.asymmetry,
-                    "settings": list(result.settings),
-                    "trials_per_point": result.trials_per_point,
-                    "master_seed": result.master_seed,
-                    "rows": [
-                        {
-                            "sharpness": r.sharpness,
-                            "s_quadrature": r.s_quadrature,
-                            "s_monte_carlo": r.s_monte_carlo,
-                            "discrepancy": r.discrepancy,
-                            "min_coincidence_rate": r.min_coincidence_rate,
-                        }
-                        for r in result.rows
-                    ],
-                    "best_sharpness": result.best.sharpness,
-                },
-                indent=1,
-                sort_keys=True,
-            )
-        )
+        doc = asdict(result)
+        doc["best_sharpness"] = doc.pop("best")["sharpness"]
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True))
         write_effective_config(config, "sweep", path)
         print(f"report: {path}")
     if config["plot-data"]:
@@ -446,34 +436,39 @@ def cmd_coins_run(args) -> int:
     kind = config["experiment"]
     if kind not in ("e1", "e2", "e3", "e4", "e5", "e6", "hole"):
         raise UsageError("--experiment must be one of e1..e6 or hole")
-    n = int(config["n"])
-    seed = int(config["seed"])
+    n = _number(config, "n")
+    seed = _number(config, "seed")
     summary: dict = {"experiment": kind, "seed": seed}
     if kind == "e1":
         faces = d1_run(str(config["input-face"]), n)
     elif kind == "e2":
         faces = d2_run(n, seed)
     elif kind == "e3":
-        faces = d3_run(n, seed, float(config["p-blue"]))
+        faces = d3_run(n, seed, _number(config, "p-blue", float))
     elif kind == "e4":
         faces, blue_counts = e4_run(
-            int(config["urn-n"]), int(config["draws-per-round"]), int(config["rounds"]), seed
+            _number(config, "urn-n"),
+            _number(config, "draws-per-round"),
+            _number(config, "rounds"),
+            seed,
         )
         summary["blue_counts_per_round"] = blue_counts.tolist()
         summary["blue_count_mean"] = float(blue_counts.mean())
         summary["blue_count_variance"] = float(blue_counts.var(ddof=1)) if len(blue_counts) > 1 else 0.0
     elif kind in ("e5", "e6"):
         box = (
-            BoxEnsemble("mixed", n_blue=int(config["n-blue"]), n_red=int(config["n-red"]))
+            BoxEnsemble("mixed", n_blue=_number(config, "n-blue"), n_red=_number(config, "n-red"))
             if kind == "e5"
-            else BoxEnsemble("pure", n_coins=int(config["n-coins"]))
+            else BoxEnsemble("pure", n_coins=_number(config, "n-coins"))
         )
         faces = box_run(box, n, substream(seed, 0, 0))
     else:
-        box = BoxEnsemble("mixed", n_blue=int(config["n-blue"]), n_red=int(config["n-red"]))
+        box = BoxEnsemble(
+            "mixed", n_blue=_number(config, "n-blue"), n_red=_number(config, "n-red")
+        )
         result = hole_protocol(
-            box, int(config["n-removed"]), seed, int(config["trials-after"]),
-            float(config["alpha"]),
+            box, _number(config, "n-removed"), seed, _number(config, "trials-after"),
+            _number(config, "alpha", float),
         )
         summary.update(
             {
@@ -528,21 +523,18 @@ STREAM_TEST_DEFAULTS = {
 
 def _run_named_tests(bits, names, config) -> list:
     out = []
+    alpha = _number(config, "alpha", float)
     for name in names:
         if name == "runs":
-            out.append(runs_test(bits, float(config["alpha"])))
+            out.append(runs_test(bits, alpha))
         elif name == "frequency":
-            out.append(frequency_test(bits, float(config["p0"]), float(config["alpha"])))
+            out.append(frequency_test(bits, _number(config, "p0", float), alpha))
         elif name == "block-variance":
-            out.append(
-                block_variance_test(bits, int(config["block-size"]), float(config["alpha"]))
-            )
+            out.append(block_variance_test(bits, _number(config, "block-size"), alpha))
         elif name == "homogeneity":
-            out.append(homogeneity_test(bits, int(config["subsamples"]), float(config["alpha"])))
+            out.append(homogeneity_test(bits, _number(config, "subsamples"), alpha))
         elif name == "autocorrelation":
-            out.append(
-                autocorrelation_test(bits, int(config["max-lag"]), float(config["alpha"]))
-            )
+            out.append(autocorrelation_test(bits, _number(config, "max-lag"), alpha))
         else:
             raise UsageError(f"unknown test {name!r}")
     return out
@@ -602,8 +594,8 @@ DEMO_DEFAULTS = {
 def cmd_demo(args) -> int:
     config = merge_config(args, load_config_file(args.config), DEMO_DEFAULTS)
     quick = bool(config["quick"])
-    n = 100000 if quick else int(config["trials"])
-    seed = int(config["seed"])
+    n = 100000 if quick else _number(config, "trials")
+    seed = _number(config, "seed")
     out_dir = out_path(Path(str(config["out-dir"])) / "x")
     out_dir = out_dir.parent
     doc: dict = {"quick": quick, "trials": n, "seed": seed}
@@ -620,10 +612,8 @@ def cmd_demo(args) -> int:
     max_err = 0.0
     for k in range(8):
         theta = k * math.pi / 8
-        stream = run_experiment(
-            model, SettingsSchedule("cycle", (theta,), (0.0,)), n, (seed, 10 + k)
-        )
-        est = next(iter(estimate_correlations(stream).values()))
+        folded = run_counts(model, SettingsSchedule("cycle", (theta,), (0.0,)), n, (seed, 10 + k))
+        est = next(iter(estimate_correlations(folded).values()))
         target = -0.5 * math.cos(2 * theta)
         max_err = max(max_err, abs(est.raw_expectation - target))
         theta_rows.append((theta, est.raw_expectation, target))
@@ -651,8 +641,7 @@ def cmd_demo(args) -> int:
     }
     witness = SelectiveModel(best.sharpness, 0.25)
     schedule = SettingsSchedule("random", (a, ap), (b, bp), seed=seed + 1)
-    stream = run_experiment(witness, schedule, n, (seed, 20))
-    ns = no_signaling_report(stream)
+    ns = no_signaling_report(run_counts(witness, schedule, n, (seed, 20)))
     print(
         f"raw singles across counterpart settings: "
         f"{'REJECT' if ns.any_raw_rejection() else 'no dependence detected'}"

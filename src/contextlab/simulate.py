@@ -30,13 +30,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, StreamFormatError
-from .models import FiniteContextualModel
+from .models import FiniteContextualModel, normalize_angle
 from .seeding import STREAM_ALICE, STREAM_BOB, STREAM_SETTINGS, STREAM_SOURCE, substream
 
 DEFAULT_CHUNK_SIZE = 65536
@@ -121,21 +121,12 @@ def source_angles(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Trial records and streams
+# Trial streams and their count tensor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    x: float
-    y: float
-    a: int
-    b: int
-
-
 class TrialStream:
-    """Column-oriented trial storage with record iteration."""
+    """Column-oriented trial storage."""
 
     def __init__(self, trial, x, y, a, b):
         self.trial = np.asarray(trial, dtype=np.int64)
@@ -148,6 +139,8 @@ class TrialStream:
             raise StreamFormatError("stream columns have unequal lengths")
         if n and np.any(np.diff(self.trial) <= 0):
             raise StreamFormatError("trial indices must be strictly increasing")
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
+            raise StreamFormatError("settings must be finite angles")
         for col in (self.a, self.b):
             if n and not np.all(np.isin(col, (-1, 0, 1))):
                 raise StreamFormatError("outcomes must be in {-1, 0, +1}")
@@ -155,17 +148,61 @@ class TrialStream:
     def __len__(self) -> int:
         return len(self.trial)
 
-    def __iter__(self) -> Iterator[TrialRecord]:
-        for t, x, y, a, b in zip(self.trial, self.x, self.y, self.a, self.b):
-            yield TrialRecord(int(t), float(x), float(y), int(a), int(b))
+
+@dataclass(frozen=True)
+class PairCounts:
+    """Outcome counts per setting pair, the sufficient statistic of a stream.
+
+    `counts[i, j, a + 1, b + 1]` (int64) is the number of trials at settings
+    (x_settings[i], y_settings[j]) whose outcomes were (a, b).  The settings
+    are distinct angles normalized to [0, 2*pi), so two raw angles that name
+    the same setting share one row; `pairs` lists the (i, j) that occur, in
+    order of first appearance.
+    """
+
+    x_settings: tuple[float, ...]
+    y_settings: tuple[float, ...]
+    counts: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return int(self.counts.sum())
 
     @classmethod
-    def from_records(cls, records) -> "TrialStream":
-        rows = [(r.trial, r.x, r.y, r.a, r.b) for r in records]
-        if not rows:
-            return cls([], [], [], [], [])
-        cols = list(zip(*rows))
-        return cls(*cols)
+    def from_stream(cls, stream: TrialStream) -> "PairCounts":
+        xs, xi = _setting_index(stream.x)
+        ys, yi = _setting_index(stream.y)
+        return _fold(xs, ys, [(xi, yi, stream.a, stream.b)])
+
+
+def _setting_index(column: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
+    """Distinct normalized settings of a column and each trial's index into them."""
+    raw, inverse = np.unique(column, return_inverse=True)
+    table, merged = np.unique([normalize_angle(v) for v in raw.tolist()], return_inverse=True)
+    return tuple(table.tolist()), merged[inverse]
+
+
+def _fold(x_settings, y_settings, chunks) -> PairCounts:
+    """Histogram `(xi, yi, a, b)` chunks into the [nx, ny, 3, 3] tensor.
+
+    One bincount per chunk over the cell code ((xi*ny + yi)*3 + a+1)*3 + b+1;
+    only a chunk holding a pair not seen before is sorted for first appearances.
+    """
+    nx, ny = len(x_settings), len(y_settings)
+    flat = np.zeros(nx * ny * 9, dtype=np.int64)
+    order: list[int] = []
+    for xi, yi, a, b in chunks:
+        pair = xi * ny + yi
+        chunk = np.bincount((pair * 3 + a + 1) * 3 + b + 1, minlength=flat.size)
+        flat += chunk
+        new = chunk.reshape(-1, 9).any(axis=1)
+        new[order] = False
+        if new.any():
+            codes, first = np.unique(pair, return_index=True)
+            fresh = new[codes]
+            order += codes[fresh][np.argsort(first[fresh])].tolist()
+    pairs = tuple(divmod(p, ny) for p in order)
+    return PairCounts(tuple(x_settings), tuple(y_settings), flat.reshape(nx, ny, 3, 3), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +231,10 @@ class SettingsSchedule:
         object.__setattr__(self, "y_settings", tuple(float(v) for v in self.y_settings))
         if not self.x_settings or not self.y_settings:
             raise ConfigError("setting lists must be nonempty")
+        for wing, values in (("x", self.x_settings), ("y", self.y_settings)):
+            finite = all(map(math.isfinite, values))
+            if not finite or len(set(map(normalize_angle, values))) < len(values):
+                raise ConfigError(f"{wing} settings {values} must be finite, distinct mod 2*pi")
         if self.mode == "random" and self.seed is None:
             raise ConfigError("random schedule requires an explicit seed")
 
@@ -219,38 +260,14 @@ class SettingsSchedule:
 # ---------------------------------------------------------------------------
 
 
-def sample_trial(model, x: float, y: float, rng: np.random.Generator) -> tuple[int, int]:
-    """One trial at fixed settings; the caller owns the generator state.
-
-    Draw order is fixed (source, then Alice's uniform, then Bob's), so each
-    trial consumes the same amount of entropy regardless of settings or
-    outcomes.
-    """
+def _chunk_outcomes(model, xs, ys, xi, yi, u_src, u_a, u_b):
+    """Outcomes of one chunk; every trial consumes one source, one Alice and
+    one Bob uniform whatever the model, the settings or the outcomes."""
     if isinstance(model, FiniteContextualModel):
-        cum_source, cum_a, cum_b, a_out, b_out = model.sampling_tables(x, y)
+        a = np.empty(len(xi), dtype=np.int8)
+        b = np.empty(len(xi), dtype=np.int8)
         n2 = model.source_dist.shape[1]
-        flat = int(np.searchsorted(cum_source, rng.random(), side="right"))
-        i, j = flat // n2, flat % n2
-        k = int(np.searchsorted(cum_a, rng.random(), side="right"))
-        l = int(np.searchsorted(cum_b, rng.random(), side="right"))
-        return int(a_out[i, k]), int(b_out[j, l])
-    phi = rng.random() * math.pi
-    lam1, lam2 = source_angles(np.asarray(phi))
-    a = wing_outcome(model, lam1, x, rng.random())
-    b = wing_outcome(model, lam2, y, rng.random())
-    return int(a), int(b)
-
-
-def _chunk_outcomes(model, xs, ys, xi, yi, rng_source, rng_alice, rng_bob, count):
-    """Vectorized trial generation for one chunk at per-trial setting indices."""
-    if isinstance(model, FiniteContextualModel):
-        u_src = rng_source.random(count)
-        u_a = rng_alice.random(count)
-        u_b = rng_bob.random(count)
-        a = np.empty(count, dtype=np.int8)
-        b = np.empty(count, dtype=np.int8)
-        n2 = model.source_dist.shape[1]
-        # group trials by setting pair; the draws above are already per-trial
+        # group trials by setting pair; the uniforms are already per-trial
         pair_code = xi * len(ys) + yi
         for code in np.unique(pair_code):
             idx = np.nonzero(pair_code == code)[0]
@@ -263,11 +280,26 @@ def _chunk_outcomes(model, xs, ys, xi, yi, rng_source, rng_alice, rng_bob, count
             a[idx] = a_out[i, k]
             b[idx] = b_out[j, l]
         return a, b
-    phi = rng_source.random(count) * math.pi
-    lam1, lam2 = source_angles(phi)
-    a = wing_outcome(model, lam1, xs[xi], rng_alice.random(count))
-    b = wing_outcome(model, lam2, ys[yi], rng_bob.random(count))
-    return a, b
+    lam1, lam2 = source_angles(u_src * math.pi)
+    return wing_outcome(model, lam1, xs[xi], u_a), wing_outcome(model, lam2, ys[yi], u_b)
+
+
+def _chunks(model, schedule: SettingsSchedule, n_trials: int, master_seed, chunk_size: int):
+    """Yield `(xi, yi, a, b)` per chunk: schedule setting indices and outcomes."""
+    if n_trials < 1:
+        raise ConfigError("n_trials must be >= 1")
+    if chunk_size < 1:
+        raise ConfigError("chunk_size must be >= 1")
+    xs = np.asarray(schedule.x_settings)
+    ys = np.asarray(schedule.y_settings)
+    for chunk_index, start in enumerate(range(0, n_trials, chunk_size)):
+        count = min(chunk_size, n_trials - start)
+        xi, yi = schedule.indices(start, count, chunk_index)
+        uniforms = (
+            substream(master_seed, chunk_index, stream_id).random(count)
+            for stream_id in (STREAM_SOURCE, STREAM_ALICE, STREAM_BOB)
+        )
+        yield (xi, yi, *_chunk_outcomes(model, xs, ys, xi, yi, *uniforms))
 
 
 def run_experiment(
@@ -278,41 +310,32 @@ def run_experiment(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> TrialStream:
     """Generate `n_trials` records; bit-identical for identical arguments."""
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
-    if chunk_size < 1:
-        raise ConfigError("chunk_size must be >= 1")
     xs = np.asarray(schedule.x_settings)
     ys = np.asarray(schedule.y_settings)
-    a_parts, b_parts, x_parts, y_parts = [], [], [], []
-    start = 0
-    chunk_index = 0
-    while start < n_trials:
-        count = min(chunk_size, n_trials - start)
-        xi, yi = schedule.indices(start, count, chunk_index)
-        a, b = _chunk_outcomes(
-            model,
-            xs,
-            ys,
-            xi,
-            yi,
-            substream(master_seed, chunk_index, STREAM_SOURCE),
-            substream(master_seed, chunk_index, STREAM_ALICE),
-            substream(master_seed, chunk_index, STREAM_BOB),
-            count,
-        )
-        x_parts.append(xs[xi])
-        y_parts.append(ys[yi])
-        a_parts.append(a)
-        b_parts.append(b)
-        start += count
-        chunk_index += 1
-    return TrialStream(
-        np.arange(n_trials),
-        np.concatenate(x_parts),
-        np.concatenate(y_parts),
-        np.concatenate(a_parts),
-        np.concatenate(b_parts),
+    parts = [
+        (xs[xi], ys[yi], a, b)
+        for xi, yi, a, b in _chunks(model, schedule, n_trials, master_seed, chunk_size)
+    ]
+    x, y, a, b = (np.concatenate(column) for column in zip(*parts))
+    return TrialStream(np.arange(n_trials), x, y, a, b)
+
+
+def run_counts(
+    model,
+    schedule: SettingsSchedule,
+    n_trials: int,
+    master_seed,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> PairCounts:
+    """`PairCounts.from_stream(run_experiment(...))`, folded chunk by chunk.
+
+    Pairs, counts and pair order are the same; the settings tables are the
+    schedule's, normalized.  Memory stays at one chunk however many trials run.
+    """
+    return _fold(
+        tuple(normalize_angle(v) for v in schedule.x_settings),
+        tuple(normalize_angle(v) for v in schedule.y_settings),
+        _chunks(model, schedule, n_trials, master_seed, chunk_size),
     )
 
 

@@ -92,6 +92,19 @@ def test_estimator_matches_malus_curve_at_moderate_n():
     assert abs(est.raw_expectation - target) < 4 * est.raw_se
 
 
+def test_angles_equal_modulo_two_pi_count_every_trial():
+    rows = [(0.0, B, 1, 1), (2 * PI, B, -1, 1), (0.0, BP, 1, 0), (2 * PI, BP, 0, -1)] * 250
+    stream = synthetic_stream(rows)
+    estimates = estimate_correlations(stream)
+    assert list(estimates) == [SettingPair(0.0, B), SettingPair(0.0, BP)]
+    assert sum(est.n_trials for est in estimates.values()) == len(rows)
+    assert estimates[SettingPair(0.0, B)].raw_expectation == 0.0
+    report = no_signaling_report(stream)
+    (a_raw,) = [t for t in report.raw_tests if t.name.startswith("raw-singles:A")]
+    assert a_raw.n == len(rows)
+    assert a_raw.details["counts"] == [[250, 0, 250], [0, 250, 250]]
+
+
 def test_empty_stream_rejected():
     with pytest.raises(InsufficientDataError):
         estimate_correlations(TrialStream([], [], [], [], []))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -38,6 +39,34 @@ def test_unknown_subcommand_and_flag_are_usage_errors():
 
 def test_missing_stream_is_a_usage_error():
     assert run(["bell-analyze"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bell-run", "--n-trials", "abc"],
+        ["bell-run", "--model", "selective", "--sharpness", "steep"],
+        ["sweep", "--trials-per-point", "1e6"],
+        ["coins-run", "--experiment", "e3", "--p-blue", "half"],
+    ],
+)
+def test_unparsable_numbers_are_usage_errors(capsys, argv):
+    assert run(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_unparsable_config_value_is_a_usage_error(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n-trials": "abc", "out": str(tmp_path / "s.csv")}))
+    assert run(["bell-run", "--config", str(config)]) == 1
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("settings", ["0,2pi", "nan", "0,inf", "pi/4,pi/4"])
+def test_colliding_or_non_finite_settings_are_data_errors(tmp_path, settings):
+    out = tmp_path / "s.csv"
+    assert run(["bell-run", "--x-settings", settings, "--n-trials", "1000", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # --- lhv-bound -------------------------------------------------------------------
@@ -196,6 +225,17 @@ def test_sweep_writes_report_and_plot_data(tmp_path, capsys):
     assert doc["best_sharpness"] == 1.0
     assert abs(doc["rows"][0]["s_quadrature"]) == pytest.approx(math.sqrt(2), abs=1e-6)
     assert len(plot.read_text().splitlines()) == 3
+
+
+def test_sweep_report_bytes_are_pinned(tmp_path):
+    # recorded when each sweep point still built a full stream, so it checks
+    # that folding counts chunk by chunk changes no byte of the report
+    report = tmp_path / "sweep.json"
+    argv = ["sweep", "--d-grid", "0,1.5,3", "--asymmetry", "0.25", "--trials-per-point", "20000"]
+    assert run(argv + ["--master-seed", "7", "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "d41d346f04669921a61f24823d49151b3eaff9db6f29d01a246caab02347f91b"
+    )
 
 
 # --- coins-run / stream-test ----------------------------------------------------------

@@ -17,8 +17,8 @@ from contextlab.simulate import (
     TrialStream,
     discretize,
     read_stream_csv,
+    run_counts,
     run_experiment,
-    sample_trial,
     stream_digest,
     stream_metadata,
     wing_outcome,
@@ -74,9 +74,9 @@ def quad_post_marginal_a(x, y, d, eta):
 
 def test_deterministic_tables_always_give_their_constants():
     m = constant_finite_model()
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert sample_trial(m, 0.0, 0.0, rng) == (1, -1)
+    for chunk_size in (1, 7, 50):
+        folded = run_counts(m, SettingsSchedule("cycle", (0.0,), (0.0,)), 50, 3, chunk_size)
+        assert folded.counts[0, 0, 2, 0] == 50  # every trial gave (a, b) = (+1, -1)
 
 
 def test_aligned_malus_wing_always_clicks_plus():
@@ -147,6 +147,17 @@ def test_schedule_validation():
         SettingsSchedule("cycle", (), (1.0,))
     with pytest.raises(ConfigError):
         SettingsSchedule("shuffled", (0.0,), (1.0,), seed=1)
+
+
+@pytest.mark.parametrize(
+    "x_settings",
+    [(0.0, 2 * PI), (PI / 4, PI / 4), (-PI / 2, 3 * PI / 2), (float("nan"),), (0.0, float("inf"))],
+)
+def test_schedule_rejects_non_finite_and_colliding_settings(x_settings):
+    with pytest.raises(ConfigError):
+        SettingsSchedule("cycle", x_settings, (1.0,))
+    with pytest.raises(ConfigError):
+        SettingsSchedule("random", (1.0,), x_settings, seed=1)
 
 
 # --- reproducibility and locality -------------------------------------------------
@@ -302,6 +313,11 @@ def test_stream_validation_errors(tmp_path):
         read_stream_csv(bad)
     with pytest.raises(StreamFormatError):
         TrialStream([0, 0], [0, 0], [0, 0], [1, 1], [1, 1])  # repeated trial index
+    with pytest.raises(StreamFormatError):
+        TrialStream([0, 1], [0.0, float("nan")], [0, 0], [1, 1], [1, 1])
+    bad.write_text("trial,x_rad,y_rad,a,b\n0,0.0,inf,1,1\n")
+    with pytest.raises(StreamFormatError):
+        read_stream_csv(bad)
 
 
 def test_run_experiment_validation():
