@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,17 +84,18 @@ class _Parser(argparse.ArgumentParser):
 # Argument helpers
 # ---------------------------------------------------------------------------
 
-_ANGLE_RE = re.compile(r"^(?P<coef>-?\d+(?:\.\d+)?)?\s*pi(?:/(?P<div>\d+(?:\.\d+)?))?$")
+_ANGLE_RE = re.compile(r"^(?P<sign>-?)(?P<coef>\d+(?:\.\d+)?)?\s*pi(?:/(?P<div>\d+(?:\.\d+)?))?$")
 
 
 def parse_angle(token: str) -> float:
-    """Angle token: a float, or '[k]pi[/m]' such as 'pi/8' or '3pi/8'."""
+    """Angle token: a float, or '[-][k]pi[/m]' such as 'pi/8', '3pi/8' or '-pi/4'."""
     token = token.strip()
     m = _ANGLE_RE.match(token)
     if m:
         coef = float(m.group("coef")) if m.group("coef") else 1.0
         div = float(m.group("div")) if m.group("div") else 1.0
-        return coef * math.pi / div
+        angle = coef * math.pi / div
+        return -angle if m.group("sign") else angle
     try:
         return float(token)
     except ValueError:
@@ -557,17 +558,7 @@ def cmd_stream_test(args) -> int:
         values = stream.a if wing == "A" else stream.b
         for symbol, bits in ternary_to_indicators(values).items():
             for t in _run_named_tests(bits, names, config):
-                reports.append(
-                    type(t)(
-                        name=f"{t.name}[wing={wing}, outcome={symbol:+d}]",
-                        statistic=t.statistic,
-                        null_ref=t.null_ref,
-                        p_value=t.p_value,
-                        alpha=t.alpha,
-                        n=t.n,
-                        details=t.details,
-                    )
-                )
+                reports.append(replace(t, name=f"{t.name}[wing={wing}, outcome={symbol:+d}]"))
     else:
         raise UsageError("--kind must be 'bell' or 'coins'")
     for t in reports:
@@ -764,10 +755,7 @@ def run_command(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ContextLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ContextLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,10 +14,7 @@ protocol removes unobserved coins and compares frequencies before and after.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -25,9 +22,12 @@ import numpy as np
 from .errors import ConfigError, EmptyUrnError, StreamFormatError
 from .randtests import TestReport, two_proportion_test
 from .seeding import substream
+from .simulate import read_rows, write_rows
 
 FACES = ("B", "R")
 COIN_CSV_HEADER = ("trial", "outcome")
+# outcomes as two bytes, so that a longer field cannot pass as a face
+COIN_ROW = np.dtype([("trial", "i8"), ("outcome", "S2")])
 
 
 def opposite(face: str) -> str:
@@ -292,30 +292,13 @@ def hole_protocol(
 
 
 def write_coin_csv(faces: Sequence[str], path, metadata: dict | None = None) -> None:
-    p = Path(path)
-    with p.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COIN_CSV_HEADER)
-        for i, face in enumerate(faces):
-            writer.writerow((i, face))
-    if metadata is not None:
-        p.with_suffix(p.suffix + ".meta.json").write_text(
-            json.dumps(metadata, indent=1, sort_keys=True)
-        )
+    faces = np.asarray(faces, dtype=str)
+    trials = np.arange(len(faces))
+    write_rows(path, COIN_CSV_HEADER, trials, faces.__getitem__, ",{}\r\n".format, metadata)
 
 
 def read_coin_csv(path) -> np.ndarray:
-    p = Path(path)
-    with p.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != COIN_CSV_HEADER:
-            raise StreamFormatError(
-                f"{p}: expected header {','.join(COIN_CSV_HEADER)}, got {header}"
-            )
-        faces = []
-        for row in reader:
-            if len(row) != 2 or row[1] not in FACES:
-                raise StreamFormatError(f"{p}: malformed row {row!r}")
-            faces.append(row[1])
-    return np.array(faces)
+    faces = read_rows(path, COIN_CSV_HEADER, COIN_ROW)["outcome"]
+    if not np.isin(faces, np.array(FACES, dtype="S1")).all():
+        raise StreamFormatError(f"{path}: every outcome must be one of {FACES}")
+    return faces.astype("U1")

@@ -48,7 +48,7 @@ def normalize_angle(theta: float) -> float:
     t = math.fmod(float(theta), TWO_PI)
     if t < 0.0:
         t += TWO_PI
-    return 0.0 if t >= TWO_PI else t
+    return 0.0 if t >= TWO_PI or t == 0.0 else t  # -0.0 becomes +0.0
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,18 @@ shows the same statistics.
 Streams may be numpy arrays, lists of 0/1, of booleans, of +-1, or of the
 coin symbols 'B'/'R'.  Normal approximations carry explicit small-sample
 cutoffs with exact fallbacks (combinatorial runs distribution, exact binomial
-test).  All tests are deterministic functions of their input.
+test).  All tests are deterministic functions of their input.  Only the
+functions that call `scipy.stats` import it, so importing this module is cheap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb, erfc
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import InsufficientDataError
 
@@ -52,16 +52,7 @@ class TestReport:
         object.__setattr__(self, "reject", bool(self.p_value < self.alpha))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "null_ref": self.null_ref,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "n": self.n,
-            "reject": self.reject,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def encode_binary(stream, success=None) -> np.ndarray:
@@ -117,6 +108,7 @@ def chi_square_table(counts) -> tuple[float, int, float]:
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
     stat = float(((table - expected) ** 2 / expected).sum())
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
+    from scipy import stats as sstats
     return stat, dof, float(sstats.chi2.sf(stat, dof))
 
 
@@ -193,23 +185,17 @@ def runs_test(stream, alpha: float = 0.01, success=None) -> TestReport:
         )
     expected = 1.0 + 2.0 * n1 * n2 / n
     if n < RUNS_NORMAL_CUTOFF:
+        statistic, null_ref = float(runs), "exact-combinatorial"
         p = _exact_runs_p_value(n1, n2, runs)
-        return TestReport(
-            name="runs",
-            statistic=float(runs),
-            null_ref="exact-combinatorial",
-            p_value=p,
-            alpha=alpha,
-            n=n,
-            details={"runs": runs, "expected": expected, "n1": n1, "n2": n2},
-        )
-    variance = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
-    z = (runs - expected) / math.sqrt(variance)
+    else:
+        variance = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
+        statistic = float((runs - expected) / math.sqrt(variance))
+        null_ref, p = "normal(0,1)", float(erfc(abs(statistic) / math.sqrt(2)))
     return TestReport(
         name="runs",
-        statistic=float(z),
-        null_ref="normal(0,1)",
-        p_value=float(erfc(abs(z) / math.sqrt(2))),
+        statistic=statistic,
+        null_ref=null_ref,
+        p_value=p,
         alpha=alpha,
         n=n,
         details={"runs": runs, "expected": expected, "n1": n1, "n2": n2},
@@ -229,22 +215,17 @@ def frequency_test(stream, p0: float = 0.5, alpha: float = 0.01, success=None) -
     n = len(bits)
     k = int(bits.sum())
     if n < FREQUENCY_NORMAL_CUTOFF:
+        from scipy import stats as sstats
+        statistic, null_ref = float(k), f"binomial(n={n}, p={p0})"
         p = float(sstats.binomtest(k, n, p0).pvalue)
-        return TestReport(
-            name="frequency",
-            statistic=float(k),
-            null_ref=f"binomial(n={n}, p={p0})",
-            p_value=p,
-            alpha=alpha,
-            n=n,
-            details={"count": k, "frequency": k / n, "p0": p0},
-        )
-    z = (k / n - p0) / math.sqrt(p0 * (1.0 - p0) / n)
+    else:
+        statistic = float((k / n - p0) / math.sqrt(p0 * (1.0 - p0) / n))
+        null_ref, p = "normal(0,1)", float(erfc(abs(statistic) / math.sqrt(2)))
     return TestReport(
         name="frequency",
-        statistic=float(z),
-        null_ref="normal(0,1)",
-        p_value=float(erfc(abs(z) / math.sqrt(2))),
+        statistic=statistic,
+        null_ref=null_ref,
+        p_value=p,
         alpha=alpha,
         n=n,
         details={"count": k, "frequency": k / n, "p0": p0},
@@ -280,6 +261,7 @@ def block_variance_test(stream, block_size: int, alpha: float = 0.01, success=No
     expected_var = block_size * p_hat * (1.0 - p_hat)
     stat = float(((counts - block_size * p_hat) ** 2).sum() / expected_var)
     dof = m - 1
+    from scipy import stats as sstats
     lower = float(sstats.chi2.cdf(stat, dof))
     upper = float(sstats.chi2.sf(stat, dof))
     p = min(1.0, 2.0 * min(lower, upper))
@@ -363,6 +345,7 @@ def autocorrelation_test(stream, max_lag: int, alpha: float = 0.01, success=None
         [float(np.dot(centered[:-k], centered[k:])) / denom for k in lags]
     )
     q = float(n * (n + 2.0) * np.sum(r**2 / (n - lags)))
+    from scipy import stats as sstats
     p = float(sstats.chi2.sf(q, max_lag))
     band = sstats.norm.ppf(1.0 - alpha / 2.0) / math.sqrt(n)
     return TestReport(
@@ -428,6 +411,7 @@ def inhomogeneity_breakdown_demo(
     if seg * n_subsamples < MIN_SUBSAMPLE * n_subsamples:
         raise InsufficientDataError("stream too short for the demonstration")
     rng = np.random.default_rng(seed)
+    from scipy import stats as sstats
     z = float(sstats.norm.ppf(0.5 + ci_level / 2.0))
     covered = np.zeros(len(regimes))
     rejected = 0

@@ -24,10 +24,11 @@ sharpness = 0 reduces bit-exactly to `MalusModel`.
 
 from __future__ import annotations
 
-import csv
+import functools
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -42,6 +43,7 @@ from .seeding import STREAM_ALICE, STREAM_BOB, STREAM_SETTINGS, STREAM_SOURCE, s
 DEFAULT_CHUNK_SIZE = 65536
 STREAM_FORMAT = "trial-stream/1"
 CSV_HEADER = ("trial", "x_rad", "y_rad", "a", "b")
+STREAM_ROW = np.dtype(list(zip(CSV_HEADER, ("i8", "f8", "f8", "i1", "i1"))))
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +80,9 @@ class SelectiveModel:
     asymmetry: float = 0.0
 
     def __post_init__(self):
-        if self.sharpness < 0:
-            raise ConfigError("sharpness must be >= 0")
-        if self.asymmetry < 0:
-            raise ConfigError("asymmetry must be >= 0")
+        for name, value in (("sharpness", self.sharpness), ("asymmetry", self.asymmetry)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite number >= 0")
 
     def survival(self, delta):
         delta = np.asarray(delta, dtype=float)
@@ -129,11 +130,15 @@ class TrialStream:
     """Column-oriented trial storage."""
 
     def __init__(self, trial, x, y, a, b):
-        self.trial = np.asarray(trial, dtype=np.int64)
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.a = np.asarray(a, dtype=np.int8)
-        self.b = np.asarray(b, dtype=np.int8)
+        a, b = np.asarray(a), np.asarray(b)
+        # checked before narrowing, which would wrap or refuse 255 and truncate 1.5
+        if not (np.isin(a, (-1, 0, 1)).all() and np.isin(b, (-1, 0, 1)).all()):
+            raise StreamFormatError("outcomes must be in {-1, 0, +1}")
+        self.trial = np.ascontiguousarray(trial, dtype=np.int64)
+        self.x = np.ascontiguousarray(x, dtype=float)
+        self.y = np.ascontiguousarray(y, dtype=float)
+        self.a = np.ascontiguousarray(a, dtype=np.int8)
+        self.b = np.ascontiguousarray(b, dtype=np.int8)
         n = len(self.trial)
         if not (len(self.x) == len(self.y) == len(self.a) == len(self.b) == n):
             raise StreamFormatError("stream columns have unequal lengths")
@@ -141,9 +146,6 @@ class TrialStream:
             raise StreamFormatError("trial indices must be strictly increasing")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise StreamFormatError("settings must be finite angles")
-        for col in (self.a, self.b):
-            if n and not np.all(np.isin(col, (-1, 0, 1))):
-                raise StreamFormatError("outcomes must be in {-1, 0, +1}")
 
     def __len__(self) -> int:
         return len(self.trial)
@@ -418,44 +420,87 @@ def meta_path(path) -> Path:
     return p.with_suffix(p.suffix + ".meta.json")
 
 
+def write_rows(path, header, keys, cells, tail, metadata: dict | None = None) -> None:
+    """Write `header` and, per row, its key then `tail(code)` for its cell code.
+
+    `cells(rows)` codes the rows of the slice `rows`, one chunk at a time; each
+    distinct code's tail (the other fields and CRLF, unquoted as `csv.writer`
+    writes them) is formatted once.  `metadata` goes to the JSON sidecar.
+    """
+    tail = functools.cache(tail)
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(keys), DEFAULT_CHUNK_SIZE):
+            rows = slice(start, start + DEFAULT_CHUNK_SIZE)
+            codes, inverse = np.unique(cells(rows), return_inverse=True)
+            text = [tail(code) for code in codes.tolist()]
+            chunk = zip(keys[rows].tolist(), inverse.tolist())
+            fh.write("".join([f"{key}{text[i]}" for key, i in chunk]))
+    if metadata is not None:
+        meta_path(path).write_text(json.dumps(metadata, indent=1, sort_keys=True))
+
+
+def read_rows(path, header, dtype) -> np.ndarray:
+    """The rows after `header`, parsed by one `np.loadtxt` call into `dtype`.
+
+    A wrong header, a malformed row and a blank line (which `loadtxt` would skip,
+    so lines are counted) are each a `StreamFormatError`.
+    """
+    with open(path, "rb") as fh:
+        found = fh.readline().rstrip(b"\r\n")
+        if found != ",".join(header).encode():
+            raise StreamFormatError(f"{path}: expected header {','.join(header)}, got {found!r}")
+        body, lines, end = fh.tell(), 0, b"\n"
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            lines, end = lines + block.count(b"\n"), block[-1:]
+        lines += end != b"\n"
+        fh.seek(body)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows is an empty table
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise StreamFormatError(f"{path}: malformed row: {exc}") from None
+    if len(rows) != lines:
+        raise StreamFormatError(f"{path}: {lines - len(rows)} of {lines} lines are blank")
+    return rows
+
+
 def write_stream_csv(stream: TrialStream, path, metadata: dict | None = None) -> None:
     """Write `trial,x_rad,y_rad,a,b` rows plus a metadata sidecar.
 
     Floats are written with repr (shortest round-trip form), so rewriting the
-    same stream is byte-identical and reading back is lossless.
+    same stream is byte-identical and reading back is lossless.  Settings are
+    keyed on their bits, so -0.0 keeps its own repr.
     """
-    p = Path(path)
-    with p.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for t, x, y, a, b in zip(stream.trial, stream.x, stream.y, stream.a, stream.b):
-            writer.writerow((int(t), repr(float(x)), repr(float(y)), int(a), int(b)))
-    if metadata is not None:
-        meta_path(p).write_text(json.dumps(metadata, indent=1, sort_keys=True))
+    xs, ys = (np.unique(column.view(np.int64)) for column in (stream.x, stream.y))
+    x, y = xs.view(float).tolist(), ys.view(float).tolist()
+
+    def cells(rows):
+        xi = np.searchsorted(xs, stream.x[rows].view(np.int64))
+        yi = np.searchsorted(ys, stream.y[rows].view(np.int64))
+        return ((xi * len(y) + yi) * 3 + stream.a[rows] + 1) * 3 + stream.b[rows] + 1
+
+    def tail(c):
+        return f",{x[c // 9 // len(y)]!r},{y[c // 9 % len(y)]!r},{c // 3 % 3 - 1},{c % 3 - 1}\r\n"
+
+    write_rows(path, CSV_HEADER, stream.trial, cells, tail, metadata)
 
 
 def read_stream_csv(path) -> TrialStream:
-    p = Path(path)
-    with p.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise StreamFormatError(
-                f"{p}: expected header {','.join(CSV_HEADER)}, got {header}"
-            )
-        cols = ([], [], [], [], [])
-        for row in reader:
-            if len(row) != 5:
-                raise StreamFormatError(f"{p}: malformed row {row!r}")
-            try:
-                cols[0].append(int(row[0]))
-                cols[1].append(float(row[1]))
-                cols[2].append(float(row[2]))
-                cols[3].append(int(row[3]))
-                cols[4].append(int(row[4]))
-            except ValueError as exc:
-                raise StreamFormatError(f"{p}: malformed row {row!r}: {exc}") from exc
-    return TrialStream(*cols)
+    """Read a stream file; a sidecar, when present, must agree with it."""
+    rows = read_rows(path, CSV_HEADER, STREAM_ROW)
+    meta = meta_path(path)
+    if meta.exists():
+        try:
+            doc = json.loads(meta.read_text())
+        except ValueError as exc:
+            raise StreamFormatError(f"{meta}: {exc}") from None
+        expected = {"format": STREAM_FORMAT, "columns": list(CSV_HEADER), "n_trials": len(rows)}
+        found = {key: doc.get(key) for key in expected} if isinstance(doc, dict) else doc
+        if found != expected:
+            raise StreamFormatError(f"{meta}: sidecar has {found}, the file {expected}")
+    return TrialStream(*(rows[name] for name in CSV_HEADER))
 
 
 def stream_digest(path) -> str:

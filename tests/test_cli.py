@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +28,13 @@ def test_parse_angle_tokens():
     assert parse_angle("pi") == pytest.approx(math.pi)
     assert parse_angle("0.5") == 0.5
     assert parse_angle_list("0,pi/4") == (0.0, pytest.approx(math.pi / 4))
+
+
+def test_negative_pi_angles_parse_bit_for_bit():
+    assert parse_angle("-pi/4") == -(math.pi / 4)
+    assert parse_angle("-3pi/8") == -(3 * math.pi / 8)
+    assert parse_angle("-2pi") == -(2 * math.pi)
+    assert parse_angle_list("-pi/4,pi/4") == (-(math.pi / 4), math.pi / 4)
 
 
 def test_bad_angle_is_a_usage_error(tmp_path):
@@ -67,6 +77,37 @@ def test_colliding_or_non_finite_settings_are_data_errors(tmp_path, settings):
     out = tmp_path / "s.csv"
     assert run(["bell-run", "--x-settings", settings, "--n-trials", "1000", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_non_finite_selective_parameters_are_data_errors(tmp_path):
+    out = tmp_path / "s.csv"
+    base = ["bell-run", "--model", "selective", "--n-trials", "100", "--out", str(out)]
+    assert run(base + ["--sharpness", "nan"]) == 2
+    assert run(base + ["--sharpness", "inf"]) == 2
+    assert run(base + ["--sharpness", "1", "--asymmetry", "nan"]) == 2
+    assert not out.exists()
+
+
+def test_importing_the_cli_and_generating_load_no_scipy(tmp_path):
+    # scipy.stats is imported only where a p-value is computed
+    script = (
+        "import sys\n"
+        "from contextlab.cli import run_command\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        f"run_command(['bell-run', '--n-trials', '100', '--out', {str(tmp_path / 's.csv')!r}])\n"
+        f"run_command(['coins-run', '--experiment', 'e4', '--out', {str(tmp_path / 'u.csv')!r}])\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        f"run_command(['bell-analyze', '--stream', {str(tmp_path / 's.csv')!r}])\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[False, False, True]"
 
 
 # --- lhv-bound -------------------------------------------------------------------
@@ -166,6 +207,34 @@ def test_analyze_round_trip_matches_in_memory_counts(tmp_path, capsys):
     lines = (tmp_path / "curve.dat").read_text().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 1 + 4  # header + four setting pairs
+
+
+@pytest.mark.parametrize("outcome", ["255", "1.5", "2"])
+def test_out_of_range_outcome_in_a_stream_is_a_data_error(tmp_path, capsys, outcome):
+    stream = tmp_path / "s.csv"
+    stream.write_text(f"trial,x_rad,y_rad,a,b\r\n0,0.0,0.5,1,1\r\n1,0.0,0.5,{outcome},1\r\n")
+    assert run(["bell-analyze", "--stream", str(stream)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_stream_and_coin_bytes_are_pinned(tmp_path):
+    # recorded with the row-by-row csv.writer the vectorized writers replaced
+    stream, urn = tmp_path / "s.csv", tmp_path / "urn.csv"
+    bell = ["bell-run", "--model", "selective", "--sharpness", "2", "--asymmetry", "0.25"]
+    settings = ["--x-settings=-0.0,pi/4", "--y-settings", "pi/8,3pi/8"]
+    seeds = ["--n-trials", "3000", "--master-seed", "7", "--schedule-seed", "3"]
+    assert run(bell + settings + seeds + ["--out", str(stream)]) == 0
+    coins = ["coins-run", "--experiment", "e4", "--urn-n", "51", "--draws-per-round", "100"]
+    assert run(coins + ["--rounds", "20", "--seed", "3", "--out", str(urn)]) == 0
+    assert stream_digest(stream) == (
+        "02f84897f747368a7e9d944ce37acb0e52d8eab7a17cbd446f6e06d09acabeaf"
+    )
+    assert stream_digest(tmp_path / "s.csv.meta.json") == (
+        "60a30e12b0728ab5512b5811b910845ccd4942bccf721a333f23bb468243b6f7"
+    )
+    assert stream_digest(urn) == (
+        "c3b92c23c5b9c12dba9b45409cc965dd3d12b339c16512f1a859fb1e2a1aee50"
+    )
 
 
 def test_unreadable_stream_is_a_data_error(tmp_path):

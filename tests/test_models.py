@@ -92,6 +92,12 @@ def test_setting_pair_normalizes_angles():
     assert normalize_angle(2 * math.pi) == 0.0
 
 
+@pytest.mark.parametrize("theta", [-2 * math.pi, -0.0, 0.0, 2 * math.pi, -4 * math.pi])
+def test_normalize_angle_returns_positive_zero(theta):
+    zero = normalize_angle(theta)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+
 def test_rejects_out_of_tolerance_probabilities():
     source = np.array([[0.5, 0.5], [0.0, 1e-9]])  # sums to 1 + 1e-9
     dist = [0.5, 0.5]

@@ -215,6 +215,15 @@ def test_selective_rejection_probability_tracks_survival_law():
     assert abs(np.mean(out == 1) - survival * math.cos(delta) ** 2) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "sharpness, asymmetry",
+    [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)],
+)
+def test_selective_rejects_non_finite_parameters(sharpness, asymmetry):
+    with pytest.raises(ConfigError):
+        SelectiveModel(sharpness, asymmetry)
+
+
 def test_selective_rejects_negative_parameters():
     with pytest.raises(ConfigError):
         SelectiveModel(sharpness=-1.0)
@@ -315,6 +324,10 @@ def test_stream_validation_errors(tmp_path):
         TrialStream([0, 0], [0, 0], [0, 0], [1, 1], [1, 1])  # repeated trial index
     with pytest.raises(StreamFormatError):
         TrialStream([0, 1], [0.0, float("nan")], [0, 0], [1, 1], [1, 1])
+    with pytest.raises(StreamFormatError):  # checked before narrowing to int8
+        TrialStream([0, 1], [0.0, 0.0], [0.0, 0.0], np.array([1, 255]), [1, 1])
+    with pytest.raises(StreamFormatError):
+        TrialStream([0, 1], [0.0, 0.0], [0.0, 0.0], [1.0, 0.5], [1, 1])
     bad.write_text("trial,x_rad,y_rad,a,b\n0,0.0,inf,1,1\n")
     with pytest.raises(StreamFormatError):
         read_stream_csv(bad)
