@@ -11,9 +11,9 @@ Lambda1 x Lambda2 x Lambda_x x Lambda_y, and single-wing marginals sum the
 same factors with the other wing removed.  Because A never references
 lambda_y and B never references lambda_x, the sums are evaluated as a
 factored contraction: per-source-value instrument reductions first, then the
-source contraction in fixed lambda1-outer, lambda2-inner order.  All
-reductions use compensated summation (math.fsum), so results are
-deterministic bit-for-bit.
+source contraction.  All reductions use math.fsum, which rounds the exact sum
+of its terms once, so results are deterministic bit-for-bit whatever the
+order of the terms.
 
 Probability tables are validated against a 1e-12 normalization tolerance and
 then renormalized so that their compensated float sum is exactly 1.0; this
@@ -235,32 +235,22 @@ class FiniteContextualModel:
 
 
 def _response(tables: WingTables) -> np.ndarray:
-    """Mean outcome per source value: fsum_k outcome[i, k] * dist[k]."""
-    dist = tables.dist
-    return np.array(
-        [math.fsum(float(o) * float(p) for o, p in zip(row, dist)) for row in tables.outcome]
-    )
+    """Mean outcome per source value: fsum_k outcome[i, k] * dist[k], exact products."""
+    return np.array([math.fsum(row) for row in (tables.outcome * tables.dist).tolist()])
 
 
 def _detection(tables: WingTables) -> np.ndarray:
     """Detection probability per source value: fsum of dist over outcome != 0."""
-    dist = tables.dist
-    return np.array(
-        [
-            math.fsum(float(p) for o, p in zip(row, dist) if o != 0)
-            for row in tables.outcome
-        ]
-    )
+    detected = (tables.outcome != 0) * tables.dist
+    return np.array([math.fsum(row) for row in detected.tolist()])
 
 
-def _source_contract(source: np.ndarray, a_factor, b_factor) -> float:
-    """fsum of source[i, j] * a_factor[i] * b_factor[j], lambda1 outer."""
-    n1, n2 = source.shape
-    return math.fsum(
-        float(source[i, j]) * float(a_factor[i]) * float(b_factor[j])
-        for i in range(n1)
-        for j in range(n2)
-    )
+def _source_contract(source: np.ndarray, a_factor: np.ndarray, b_factor: np.ndarray) -> float:
+    """fsum of source[i, j] * a_factor[i] * b_factor[j] over terms formed by numpy.
+
+    Each term is the same two left-to-right IEEE products as the scalar form."""
+    terms = source * a_factor[:, None] * b_factor[None, :]
+    return math.fsum(terms.ravel().tolist())
 
 
 def pair_expectation(model: FiniteContextualModel, x: float, y: float) -> float:
@@ -276,21 +266,13 @@ def pair_expectation(model: FiniteContextualModel, x: float, y: float) -> float:
 def alice_marginal(model: FiniteContextualModel, x: float) -> float:
     """Expectation of Alice's outcome at setting x; never references wing B."""
     abar = _response(model.alice_tables(x))
-    source = model.source_dist
-    n1, n2 = source.shape
-    return math.fsum(
-        float(source[i, j]) * float(abar[i]) for i in range(n1) for j in range(n2)
-    )
+    return _source_contract(model.source_dist, abar, np.ones(len(model.lambda2_space)))
 
 
 def bob_marginal(model: FiniteContextualModel, y: float) -> float:
     """Expectation of Bob's outcome at setting y; never references wing A."""
     bbar = _response(model.bob_tables(y))
-    source = model.source_dist
-    n1, n2 = source.shape
-    return math.fsum(
-        float(source[i, j]) * float(bbar[j]) for i in range(n1) for j in range(n2)
-    )
+    return _source_contract(model.source_dist, np.ones(len(model.lambda1_space)), bbar)
 
 
 def joint_detection_probability(model: FiniteContextualModel, x: float, y: float) -> float:

@@ -12,8 +12,9 @@ shows the same statistics.
 Streams may be numpy arrays, lists of 0/1, of booleans, of +-1, or of the
 coin symbols 'B'/'R'.  Normal approximations carry explicit small-sample
 cutoffs with exact fallbacks (combinatorial runs distribution, exact binomial
-test).  All tests are deterministic functions of their input.  Only the
-functions that call `scipy.stats` import it, so importing this module is cheap.
+test).  All tests are deterministic functions of their input.  Tails come from
+`scipy.special`, which `scipy.stats` itself calls, and `scipy.stats` serves only
+the exact binomial test; both are imported inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def chi_square_table(counts) -> tuple[float, int, float]:
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
     stat = float(((table - expected) ** 2 / expected).sum())
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
-    from scipy import stats as sstats
-    return stat, dof, float(sstats.chi2.sf(stat, dof))
+    from scipy.special import chdtrc
+    return stat, dof, float(chdtrc(dof, stat))
 
 
 def two_proportion_test(
@@ -261,9 +262,9 @@ def block_variance_test(stream, block_size: int, alpha: float = 0.01, success=No
     expected_var = block_size * p_hat * (1.0 - p_hat)
     stat = float(((counts - block_size * p_hat) ** 2).sum() / expected_var)
     dof = m - 1
-    from scipy import stats as sstats
-    lower = float(sstats.chi2.cdf(stat, dof))
-    upper = float(sstats.chi2.sf(stat, dof))
+    from scipy.special import chdtr, chdtrc
+    lower = float(chdtr(dof, stat))
+    upper = float(chdtrc(dof, stat))
     p = min(1.0, 2.0 * min(lower, upper))
     return TestReport(
         name="block-variance",
@@ -345,9 +346,9 @@ def autocorrelation_test(stream, max_lag: int, alpha: float = 0.01, success=None
         [float(np.dot(centered[:-k], centered[k:])) / denom for k in lags]
     )
     q = float(n * (n + 2.0) * np.sum(r**2 / (n - lags)))
-    from scipy import stats as sstats
-    p = float(sstats.chi2.sf(q, max_lag))
-    band = sstats.norm.ppf(1.0 - alpha / 2.0) / math.sqrt(n)
+    from scipy.special import chdtrc, ndtri
+    p = float(chdtrc(max_lag, q))
+    band = ndtri(1.0 - alpha / 2.0) / math.sqrt(n)
     return TestReport(
         name="autocorrelation",
         statistic=q,
@@ -411,8 +412,8 @@ def inhomogeneity_breakdown_demo(
     if seg * n_subsamples < MIN_SUBSAMPLE * n_subsamples:
         raise InsufficientDataError("stream too short for the demonstration")
     rng = np.random.default_rng(seed)
-    from scipy import stats as sstats
-    z = float(sstats.norm.ppf(0.5 + ci_level / 2.0))
+    from scipy.special import ndtri
+    z = float(ndtri(0.5 + ci_level / 2.0))
     covered = np.zeros(len(regimes))
     rejected = 0
     pooled_sum = 0.0

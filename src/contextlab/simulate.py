@@ -130,10 +130,12 @@ class TrialStream:
     """Column-oriented trial storage."""
 
     def __init__(self, trial, x, y, a, b):
-        a, b = np.asarray(a), np.asarray(b)
+        trial, a, b = np.asarray(trial), np.asarray(a), np.asarray(b)
         # checked before narrowing, which would wrap or refuse 255 and truncate 1.5
         if not (np.isin(a, (-1, 0, 1)).all() and np.isin(b, (-1, 0, 1)).all()):
             raise StreamFormatError("outcomes must be in {-1, 0, +1}")
+        if not _fits_int64(trial):
+            raise StreamFormatError("trial indices must be integers in the int64 range")
         self.trial = np.ascontiguousarray(trial, dtype=np.int64)
         self.x = np.ascontiguousarray(x, dtype=float)
         self.y = np.ascontiguousarray(y, dtype=float)
@@ -149,6 +151,14 @@ class TrialStream:
 
     def __len__(self) -> int:
         return len(self.trial)
+
+
+def _fits_int64(values: np.ndarray) -> bool:
+    """Whether narrowing to int64 keeps every value: no truncation, no wrap."""
+    if values.dtype.kind == "f":
+        return bool(np.all((np.trunc(values) == values) & (abs(values) < 2.0**63)))
+    # object arrays, numpy's form for Python ints beyond 64 bits, are refused
+    return values.dtype.kind in "bi" or (values.dtype.kind == "u" and values.max(initial=0) < 2**63)
 
 
 @dataclass(frozen=True)

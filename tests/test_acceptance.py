@@ -50,6 +50,7 @@ from contextlab.simulate import (
     SelectiveModel,
     SettingsSchedule,
     TrialStream,
+    run_counts,
     run_experiment,
 )
 
@@ -72,8 +73,8 @@ def test_criterion_1_oracle_equivalence():
     for seed in range(20):
         model = random_model(np.random.default_rng(seed))
         schedule = SettingsSchedule("cycle", model.alice_settings, model.bob_settings)
-        stream = run_experiment(model, schedule, n, master_seed=(1000, seed))
-        for pair, est in estimate_correlations(stream).items():
+        counts = run_counts(model, schedule, n, master_seed=(1000, seed))
+        for pair, est in estimate_correlations(counts).items():
             exact = pair_expectation(model, pair.x, pair.y)
             se = max(est.raw_se, 1e-12)
             pull = abs(est.raw_expectation - exact) / se

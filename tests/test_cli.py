@@ -89,7 +89,8 @@ def test_non_finite_selective_parameters_are_data_errors(tmp_path):
 
 
 def test_importing_the_cli_and_generating_load_no_scipy(tmp_path):
-    # scipy.stats is imported only where a p-value is computed
+    # scipy is imported only where a p-value is computed, and scipy.stats only
+    # for the exact binomial test of a short stream
     script = (
         "import sys\n"
         "from contextlab.cli import run_command\n"
@@ -99,6 +100,9 @@ def test_importing_the_cli_and_generating_load_no_scipy(tmp_path):
         "loaded.append('scipy' in sys.modules)\n"
         f"run_command(['bell-analyze', '--stream', {str(tmp_path / 's.csv')!r}])\n"
         "loaded.append('scipy' in sys.modules)\n"
+        "loaded.append('scipy.stats' in sys.modules)\n"
+        f"run_command(['stream-test', '--kind', 'coins', '--stream', {str(tmp_path / 'u.csv')!r}])\n"
+        "loaded.append('scipy.stats' in sys.modules)\n"
         "print(loaded)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -107,7 +111,7 @@ def test_importing_the_cli_and_generating_load_no_scipy(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[False, False, True]"
+    assert done.stdout.splitlines()[-1] == "[False, False, True, False, False]"
 
 
 # --- lhv-bound -------------------------------------------------------------------
@@ -234,6 +238,24 @@ def test_stream_and_coin_bytes_are_pinned(tmp_path):
     )
     assert stream_digest(urn) == (
         "c3b92c23c5b9c12dba9b45409cc965dd3d12b339c16512f1a859fb1e2a1aee50"
+    )
+
+
+def test_p_value_report_bytes_are_pinned(tmp_path):
+    # recorded when every chi-square and normal tail came from scipy.stats
+    stream, urn = tmp_path / "s.csv", tmp_path / "urn.csv"
+    bell = ["bell-run", "--model", "selective", "--sharpness", "2", "--asymmetry", "0.25"]
+    assert run(bell + ["--n-trials", "20000", "--master-seed", "3", "--out", str(stream)]) == 0
+    assert run(["bell-analyze", "--stream", str(stream), "--report", str(tmp_path / "r.json")]) == 0
+    coins = ["coins-run", "--experiment", "e4", "--urn-n", "51", "--draws-per-round", "100"]
+    assert run(coins + ["--rounds", "50", "--seed", "3", "--out", str(urn)]) == 0
+    tests = ["stream-test", "--stream", str(urn), "--kind", "coins"]  # all five tests
+    assert run(tests + ["--report", str(tmp_path / "t.json")]) == 0
+    assert stream_digest(tmp_path / "r.json") == (
+        "fa76219184e4188f649cf448c58baac1c118b156985f0ad3fb0f091aa87f9a3c"
+    )
+    assert stream_digest(tmp_path / "t.json") == (
+        "d11b60de3de8736843c0c3ab481875af81bd6a9581b781d2b74917f85ef520c0"
     )
 
 

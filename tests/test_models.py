@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from contextlab.errors import (
     ModelValidationError,
@@ -25,6 +29,7 @@ from contextlab.models import (
     save_model,
     shared_space_model,
 )
+from contextlab.simulate import MalusModel, SelectiveModel, discretize
 
 X0, X1 = 0.0, math.pi / 4
 Y0, Y1 = math.pi / 8, 3 * math.pi / 8
@@ -367,3 +372,153 @@ def test_shared_space_model_has_no_zeros_and_common_instruments():
         assert np.all(m.alice_tables(x).outcome != 0)
     for y in m.bob_settings:
         assert np.all(m.bob_tables(y).outcome != 0)
+
+
+# --- the numpy-formed contraction against the scalar reference --------------------
+
+
+def ref_response(t):
+    dist = t.dist
+    return np.array(
+        [math.fsum(float(o) * float(p) for o, p in zip(row, dist)) for row in t.outcome]
+    )
+
+
+def ref_detection(t):
+    dist = t.dist
+    return np.array(
+        [math.fsum(float(p) for o, p in zip(row, dist) if o != 0) for row in t.outcome]
+    )
+
+
+def ref_contract(source, a_factor, b_factor):
+    n1, n2 = source.shape
+    return math.fsum(
+        float(source[i, j]) * float(a_factor[i]) * float(b_factor[j])
+        for i in range(n1)
+        for j in range(n2)
+    )
+
+
+def ref_exact_values(model, x, y) -> dict:
+    """Every exact function at (x, y) by scalar generators fed to fsum."""
+    at, bt = model.alice_tables(x), model.bob_tables(y)
+    source = model.source_dist
+    cells = [(i, j) for i in range(source.shape[0]) for j in range(source.shape[1])]
+    abar, bbar = ref_response(at), ref_response(bt)
+    sa, sb = ref_detection(at), ref_detection(bt)
+    denom = ref_contract(source, sa, sb)
+    pair = ref_contract(source, abar, bbar)
+    conditional = denom > 0.0
+    return {
+        "pair": pair,
+        "alice": math.fsum(float(source[i, j]) * float(abar[i]) for i, j in cells),
+        "bob": math.fsum(float(source[i, j]) * float(bbar[j]) for i, j in cells),
+        "joint": denom,
+        "coincidence": pair / denom if conditional else None,
+        "post_A": ref_contract(source, abar, sb) / denom if conditional else None,
+        "post_B": ref_contract(source, sa, bbar) / denom if conditional else None,
+    }
+
+
+def exact_values(model, x, y) -> dict:
+    def value(fn, *args):
+        try:
+            return fn(model, *args)
+        except UndefinedConditionalError:
+            return None
+
+    return {
+        "pair": pair_expectation(model, x, y),
+        "alice": alice_marginal(model, x),
+        "bob": bob_marginal(model, y),
+        "joint": joint_detection_probability(model, x, y),
+        "coincidence": value(coincidence_expectation, x, y),
+        "post_A": value(postselected_marginal, x, y, "A"),
+        "post_B": value(postselected_marginal, x, y, "B"),
+    }
+
+
+# zeros, subnormal products and widely spread magnitudes exercise every rounding
+WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.sampled_from((5e-324, 1e-300, 1e-160, 3.0, 1e12)),
+    st.floats(1e-6, 1.0),
+)
+OUTCOME_ROWS = st.one_of(st.just("zero"), st.just("minus"), st.just("mixed"))
+
+
+@st.composite
+def finite_models(draw):
+    """Models with unequal source sizes, dead cells and rows, and negative responses."""
+    n1 = draw(st.integers(1, 5))
+    n2 = draw(st.integers(1, 5).filter(lambda n: n != n1))
+
+    def probabilities(shape):
+        size = int(np.prod(shape))
+        weights = draw(st.lists(WEIGHTS, min_size=size, max_size=size))
+        if not any(weights):
+            weights[draw(st.integers(0, size - 1))] = 1.0
+        weights = np.array(weights).reshape(shape)
+        return weights / math.fsum(weights.flat)
+
+    def outcome_row(n_inst):
+        kind = draw(OUTCOME_ROWS)
+        if kind == "zero":
+            return [0] * n_inst
+        values = (-1, 0) if kind == "minus" else (-1, 0, 1)
+        return draw(st.lists(st.sampled_from(values), min_size=n_inst, max_size=n_inst))
+
+    def wing(n_source, settings):
+        tables = {}
+        for setting in settings:
+            n_inst = draw(st.integers(1, 4))
+            outcome = [outcome_row(n_inst) for _ in range(n_source)]
+            tables[setting] = (tuple(range(n_inst)), probabilities((n_inst,)), outcome)
+        return tables
+
+    return FiniteContextualModel(
+        range(n1), range(n2), probabilities((n1, n2)), wing(n1, (X0, X1)), wing(n2, (Y0, Y1))
+    )
+
+
+@settings(
+    max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(finite_models())
+@example(constant_model(1, 0, n1=2, n2=3))  # no joint detection: conditionals undefined
+@example(constant_model(-1, -1, n1=3, n2=1, n_inst=3))
+def test_exact_functions_equal_the_scalar_reference_bit_for_bit(model):
+    for x in model.alice_settings:
+        for y in model.bob_settings:
+            got, want = exact_values(model, x, y), ref_exact_values(model, x, y)
+            assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+
+def golden_exact_document() -> dict:
+    """The repr of every exact function on two discretized and three random models."""
+    sx, sy = (X0, X1), (Y0, Y1)
+    models = {
+        "malus": discretize(MalusModel(), sx, sy, n_source=36, n_alice=40, n_bob=50),
+        "selective": discretize(
+            SelectiveModel(2.0, 0.25), sx, sy, n_source=48, n_alice=60, n_bob=30
+        ),
+        "random0": random_model(np.random.default_rng(0)),
+        "random1": random_model(np.random.default_rng(1), n1=2, n2=5, n_inst=3),
+        "random2": random_model(np.random.default_rng(2), n1=4, n2=3, n_inst=4, zero_weight=0.6),
+    }
+    doc = {}
+    for name, model in models.items():
+        for x in model.alice_settings:
+            for y in model.bob_settings:
+                values = exact_values(model, x, y)
+                doc[f"{name} {x!r} {y!r}"] = {k: repr(v) for k, v in values.items()}
+    return doc
+
+
+def test_exact_function_values_are_pinned():
+    # recorded with the scalar generator contraction, before numpy formed the terms
+    blob = json.dumps(golden_exact_document(), indent=1, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "4a574de913eedc0558b48e9e730a0425283af57ba2be2278adb01417bd521464"
+    )

@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from contextlab.errors import InsufficientDataError
@@ -199,6 +202,80 @@ def test_homogeneity_groups_api_and_preconditions():
 def test_chi_square_drops_empty_categories():
     stat, dof, p = chi_square_table([[10, 0], [20, 0]])
     assert (stat, dof, p) == (0.0, 0, 1.0)
+
+
+# --- p-values against the scipy.stats distributions --------------------------------------
+
+PROPERTY = settings(
+    max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def reference_chi_square_table(counts):
+    table = np.asarray(counts, dtype=float)
+    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+    if table.shape[0] < 2 or table.shape[1] < 2:
+        return 0.0, 0, 1.0
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    stat = float(((table - expected) ** 2 / expected).sum())
+    dof = (table.shape[0] - 1) * (table.shape[1] - 1)
+    return stat, dof, float(sstats.chi2.sf(stat, dof))
+
+
+@st.composite
+def count_tables(draw):
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 8))
+    cell = st.one_of(st.integers(0, 20), st.integers(0, 10**6))
+    row = st.lists(cell, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@PROPERTY
+@given(count_tables())
+@example([[10, 30], [30, 10]])  # dof 1, p far in the tail
+@example([[1, 1], [1, 1]])  # statistic 0
+@example(np.arange(2000).reshape(2, 1000) % 7 + 1)  # dof 999
+def test_chi_square_table_equals_the_scipy_stats_reference(counts):
+    assert chi_square_table(counts) == reference_chi_square_table(counts)
+
+
+@st.composite
+def binary_streams(draw, min_size):
+    """iid, blockwise-balanced (under-dispersed) or two-regime (over-dispersed) bits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(min_size, 6000))
+    kind = draw(st.sampled_from(("iid", "balanced", "regimes")))
+    if kind == "iid":
+        return (rng.random(n) < draw(st.floats(0.05, 0.95))).astype(np.uint8)
+    if kind == "balanced":
+        return np.tile([1, 0], n // 2 + 1)[:n].astype(np.uint8)
+    p = np.where(np.arange(n) < n // 2, 0.3, 0.7)
+    return (rng.random(n) < p).astype(np.uint8)
+
+
+@PROPERTY
+@given(binary_streams(min_size=3000), st.integers(1, 100), st.sampled_from((0.01, 0.05)))
+@example(np.tile([1, 0, 0, 1], 750).astype(np.uint8), 2, 0.01)  # dof 1499, every block balanced
+@example(iid_stream(6000, 0.5, 3), 1, 0.01)  # dof 5999
+def test_block_variance_p_value_equals_the_scipy_stats_reference(bits, block_size, alpha):
+    if len(bits) // block_size < 30:
+        block_size = len(bits) // 30
+    report = block_variance_test(bits, block_size, alpha)
+    stat, dof = report.statistic, report.details["blocks"] - 1
+    lower = float(sstats.chi2.cdf(stat, dof))
+    upper = float(sstats.chi2.sf(stat, dof))
+    assert report.p_value == min(1.0, 2.0 * min(lower, upper))
+
+
+@PROPERTY
+@given(binary_streams(min_size=100), st.integers(1, 60), st.sampled_from((0.01, 0.05, 0.001)))
+@example(np.tile([1, 0], 600).astype(np.uint8), 1, 0.01)  # dof 1, statistic far in the tail
+def test_autocorrelation_p_value_and_band_equal_the_scipy_stats_reference(bits, max_lag, alpha):
+    max_lag = min(max_lag, len(bits) // 100)
+    report = autocorrelation_test(bits, max_lag, alpha)
+    assert report.p_value == float(sstats.chi2.sf(report.statistic, max_lag))
+    band = sstats.norm.ppf(1.0 - alpha / 2.0) / math.sqrt(len(bits))
+    assert report.details["band"] == float(band)
 
 
 # --- autocorrelation test ----------------------------------------------------------------

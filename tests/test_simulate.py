@@ -333,6 +333,30 @@ def test_stream_validation_errors(tmp_path):
         read_stream_csv(bad)
 
 
+@pytest.mark.parametrize(
+    "trial",
+    [
+        [0.5, 1.7],
+        [0.0, float("inf")],
+        [0, 2**63],
+        [0, 2**64],
+        [-1, 2**63],
+        np.array([0, 2**63], np.uint64),
+    ],
+)
+def test_trial_indices_are_checked_before_narrowing(trial):
+    # int64 narrowing would truncate 0.5 and 1.7 to 0 and 1, and wrap or refuse 2**63
+    with pytest.raises(StreamFormatError, match="int64 range"):
+        TrialStream(trial, [0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1])
+
+
+def test_integral_trial_indices_of_any_dtype_are_kept():
+    for trial in ([0.0, 2.0**62], np.array([3, 2**63 - 1], np.uint64), [False, True]):
+        stream = TrialStream(trial, [0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1])
+        assert stream.trial.dtype == np.int64
+        assert stream.trial.tolist() == [int(v) for v in trial]
+
+
 def test_run_experiment_validation():
     with pytest.raises(ConfigError):
         run_experiment(MalusModel(), SettingsSchedule("cycle", (0.0,), (0.0,)), 0, 1)
