@@ -329,22 +329,27 @@ def homogeneity_test(stream, n_subsamples: int, alpha: float = 0.01, success=Non
 # ---------------------------------------------------------------------------
 
 
+def _lag_product(bits: np.ndarray, k: int) -> int:
+    """n**2 times the sum of (bits[i] - mean) * (bits[i + k] - mean) over i < n - k, exactly."""
+    n, ones = len(bits), int(np.count_nonzero(bits))
+    head, tail = bits[: n - k], bits[k:]
+    both, h, t = (int(np.count_nonzero(v)) for v in (head & tail, head, tail))
+    return n * n * both - n * ones * (h + t) + ones * ones * (n - k)
+
+
 def autocorrelation_test(stream, max_lag: int, alpha: float = 0.01, success=None) -> TestReport:
-    """Sample autocorrelations with a Ljung-Box portmanteau statistic."""
+    """Exact sample autocorrelations, rounded once, and their Ljung-Box statistic."""
     if max_lag < 1:
         raise InsufficientDataError("max_lag must be >= 1")
-    bits = encode_binary(stream, success).astype(float)
+    bits = encode_binary(stream, success)
     n = len(bits)
     if n < 100 * max_lag:
         raise InsufficientDataError(f"need n >= {100 * max_lag}, have {n}")
-    centered = bits - bits.mean()
-    denom = float(np.dot(centered, centered))
-    if denom == 0.0:
+    denom = _lag_product(bits, 0)
+    if denom == 0:
         raise InsufficientDataError("constant stream: autocorrelation undefined")
     lags = np.arange(1, max_lag + 1)
-    r = np.array(
-        [float(np.dot(centered[:-k], centered[k:])) / denom for k in lags]
-    )
+    r = np.array([_lag_product(bits, k) / denom for k in lags.tolist()])
     q = float(n * (n + 2.0) * np.sum(r**2 / (n - lags)))
     from scipy.special import chdtrc, ndtri
     p = float(chdtrc(max_lag, q))

@@ -242,20 +242,23 @@ def test_stream_and_coin_bytes_are_pinned(tmp_path):
 
 
 def test_p_value_report_bytes_are_pinned(tmp_path):
-    # recorded when every chi-square and normal tail came from scipy.stats
+    # recorded when every chi-square and normal tail came from scipy.stats; the
+    # autocorrelation test's exact values are pinned by
+    # test_autocorrelations_are_the_exact_ratios_rounded_once instead
     stream, urn = tmp_path / "s.csv", tmp_path / "urn.csv"
     bell = ["bell-run", "--model", "selective", "--sharpness", "2", "--asymmetry", "0.25"]
     assert run(bell + ["--n-trials", "20000", "--master-seed", "3", "--out", str(stream)]) == 0
     assert run(["bell-analyze", "--stream", str(stream), "--report", str(tmp_path / "r.json")]) == 0
     coins = ["coins-run", "--experiment", "e4", "--urn-n", "51", "--draws-per-round", "100"]
     assert run(coins + ["--rounds", "50", "--seed", "3", "--out", str(urn)]) == 0
-    tests = ["stream-test", "--stream", str(urn), "--kind", "coins"]  # all five tests
+    tests = ["stream-test", "--stream", str(urn), "--kind", "coins"]
+    tests += ["--tests", "runs,frequency,block-variance,homogeneity"]
     assert run(tests + ["--report", str(tmp_path / "t.json")]) == 0
     assert stream_digest(tmp_path / "r.json") == (
         "fa76219184e4188f649cf448c58baac1c118b156985f0ad3fb0f091aa87f9a3c"
     )
     assert stream_digest(tmp_path / "t.json") == (
-        "d11b60de3de8736843c0c3ab481875af81bd6a9581b781d2b74917f85ef520c0"
+        "b629eb2ec482a7c7e4f9b38e3bdc337249f70cd1178df9f96b2d213b20c94121"
     )
 
 

@@ -1,9 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
@@ -295,6 +296,21 @@ def test_iid_autocorrelations_stay_inside_bands():
         abs(r) < report.details["band"] for r in report.details["autocorrelations"]
     ]
     assert sum(inside) >= 9
+
+
+@PROPERTY
+@given(binary_streams(min_size=100), st.integers(1, 60))
+@example(iid_stream(12000, 0.3, 5), 10)  # long enough for a threaded BLAS dot
+@example(np.tile([1, 0, 0], 400).astype(np.uint8), 3)  # mean 1/3 is not a float
+def test_autocorrelations_are_the_exact_ratios_rounded_once(bits, max_lag):
+    assume(0 < bits.sum() < len(bits))
+    max_lag = min(max_lag, len(bits) // 100)
+    report = autocorrelation_test(bits, max_lag)
+    # n * (bits - mean) is an integer vector, so its lagged dot products are exact
+    scaled = len(bits) * bits.astype(np.int64) - int(bits.sum())
+    zero_lag = int(np.dot(scaled, scaled))
+    exact = [Fraction(int(np.dot(scaled[:-k], scaled[k:])), zero_lag) for k in range(1, max_lag + 1)]
+    assert report.details["autocorrelations"] == [float(r) for r in exact]
 
 
 def test_autocorrelation_preconditions():
