@@ -239,6 +239,19 @@ def test_stream_and_coin_bytes_are_pinned(tmp_path):
     assert stream_digest(urn) == (
         "c3b92c23c5b9c12dba9b45409cc965dd3d12b339c16512f1a859fb1e2a1aee50"
     )
+    # holds blue_counts_per_round; recorded with the per-draw urn loop
+    assert stream_digest(tmp_path / "urn.csv.meta.json") == (
+        "1d02cbae0a1e450f5659cf3b4cb0facd2306c02892c67a1b891959671bdcce98"
+    )
+
+
+def test_alternating_device_bytes_are_pinned(tmp_path):
+    # recorded with the per-flip D2 loop
+    out = tmp_path / "e2.csv"
+    assert run(["coins-run", "--experiment", "e2", "--n", "101", "--seed", "4", "--out", str(out)]) == 0
+    assert stream_digest(out) == (
+        "d9b6044a703b0b037024a27f328aa3d5b6355bd2f79795ffd080c924e2d8df20"
+    )
 
 
 def test_p_value_report_bytes_are_pinned(tmp_path):

@@ -2,22 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from contextlab.coins import (
     BoxEnsemble,
-    D2State,
-    UrnState,
     box_run,
-    box_trial,
     d1_run,
     d1_step,
     d2_run,
-    d2_step,
     d3_run,
-    d3_step,
-    e4_draw_probability,
     e4_run,
-    e4_step,
     hole_protocol,
     read_coin_csv,
     remove_coins,
@@ -31,6 +26,69 @@ from contextlab.randtests import (
     runs_test,
 )
 from contextlab.seeding import substream
+
+PROPERTY = settings(
+    max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+SEEDS = st.one_of(
+    st.integers(0, 2**63), st.tuples(st.integers(0, 2**32), st.integers(0, 2**32))
+)
+
+
+# --- references: the per-draw loops the array paths replaced -------------------------
+
+
+def reference_d2_run(n, seed):
+    rng = substream(seed, 0, 0)
+    last = None
+    out = []
+    for _ in range(n):
+        if last is None:
+            last = "B" if rng.random() < 0.5 else "R"
+        else:
+            last = "R" if last == "B" else "B"
+        out.append(last)
+    return np.array(out)
+
+
+def reference_e4_run(N, draws_per_round, rounds, seed):
+    faces = np.empty(draws_per_round * rounds, dtype="<U1")
+    blue_counts = np.empty(rounds, dtype=np.int64)
+    pos = 0
+    for r in range(rounds):
+        rng = substream(seed, r, 0)
+        m = 0
+        for k in range(draws_per_round):
+            if rng.random() < (N - m) / (2 * N - k):
+                faces[pos] = "B"
+                m += 1
+            else:
+                faces[pos] = "R"
+            pos += 1
+        blue_counts[r] = m
+    return faces, blue_counts
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(st.integers(1, 60), st.data(), st.integers(1, 30), SEEDS)
+def test_e4_run_equals_the_per_draw_reference_loop(N, data, rounds, seed):
+    draws_per_round = data.draw(st.integers(1, 2 * N), label="draws_per_round")
+    faces, blue_counts = e4_run(N, draws_per_round, rounds, seed)
+    want_faces, want_counts = reference_e4_run(N, draws_per_round, rounds, seed)
+    assert_same_array(faces, want_faces)
+    assert_same_array(blue_counts, want_counts)
+
+
+@PROPERTY
+@given(st.integers(1, 300), SEEDS)
+def test_d2_run_equals_the_per_flip_reference_loop(n, seed):
+    assert_same_array(d2_run(n, seed), reference_d2_run(n, seed))
 
 
 # --- D1 ---------------------------------------------------------------------------
@@ -51,6 +109,8 @@ def test_d1_run_is_the_constant_opposite():
 def test_d1_rejects_bad_face():
     with pytest.raises(ConfigError):
         d1_step("G")
+    with pytest.raises(ConfigError):
+        d1_run("G", 3)
 
 
 # --- D2 ---------------------------------------------------------------------------
@@ -69,15 +129,11 @@ def test_d2_runs_count_equals_length():
 
 
 def test_d2_ignores_the_inserted_face_after_the_first_flip():
-    rng = substream(1, 0, 0)
-    state = D2State()
-    first, state = d2_step(state, "B", rng)
-    seq = [first]
-    for face_in in ("B", "R", "B", "R", "B"):
-        out, state = d2_step(state, face_in, rng)
-        seq.append(out)
-    for a, b in zip(seq, seq[1:]):
-        assert a != b
+    # both devices are fed the same face every time: D1 follows it, D2 alternates
+    assert set(d1_run("B", 501).tolist()) == {"R"}
+    for seed in range(50):
+        stream = d2_run(501, seed)
+        assert np.all(stream[1:] != stream[:-1])
 
 
 def test_d2_first_symbol_is_a_fair_draw():
@@ -108,38 +164,44 @@ def test_d3_bias_parameter():
     stream = d3_run(10**5, seed=14, p_blue=0.25)
     assert abs(float(np.mean(stream == "B")) - 0.25) < 0.006
     with pytest.raises(ConfigError):
-        d3_step(substream(0, 0, 0), p_blue=1.5)
+        d3_run(10, seed=14, p_blue=1.5)
 
 
 # --- urn draws ----------------------------------------------------------------------
 
 
 def test_draw_probability_formula_values():
-    assert e4_draw_probability(0, 0, 51) == pytest.approx(51 / 102) == pytest.approx(0.5)
-    assert e4_draw_probability(60, 51, 51) == 0.0  # no blue remaining
-    assert e4_draw_probability(100, 50, 51) == pytest.approx(0.5)  # (51-50)/(102-100)
+    # the first draw of every round is blue with chance 51/102 = 0.5 exactly
+    faces, _ = e4_run(N=51, draws_per_round=100, rounds=40, seed=2)
+    firsts = [substream(2, r, 0).random() < 0.5 for r in range(40)]
+    assert (faces[::100] == "B").tolist() == firsts
+    # once one color is used up, p(blue) is 0 (no blue left) or 1 (no red left)
+    faces, _ = e4_run(N=3, draws_per_round=6, rounds=200, seed=4)
+    for round_faces in faces.reshape(200, 6):
+        no_blue_left = np.cumsum(round_faces == "B")[:-1] == 3
+        no_red_left = np.cumsum(round_faces == "R")[:-1] == 3
+        assert np.all(round_faces[1:][no_blue_left] == "R")
+        assert np.all(round_faces[1:][no_red_left] == "B")
 
 
 def test_empty_urn_raises():
     with pytest.raises(EmptyUrnError):
-        e4_draw_probability(102, 51, 51)
+        box_run(BoxEnsemble("mixed"), 5, substream(0, 0, 0))
     with pytest.raises(ConfigError):
-        UrnState(N=51, k=5, m=6)  # more blues than draws
+        e4_run(N=51, draws_per_round=103, rounds=1, seed=0)  # one more than the urn holds
     with pytest.raises(ConfigError):
-        e4_draw_probability(99, 40, 51)  # 59 reds drawn from a 51-red urn
+        e4_run(N=0, draws_per_round=1, rounds=1, seed=0)
 
 
 def test_e4_conservation_and_refill():
-    rng = substream(7, 0, 0)
-    state = UrnState(N=51)
-    reds = 0
-    for _ in range(100):
-        face, state = e4_step(state, rng)
-        reds += face == "R"
-        assert state.m + reds == state.k
-        assert state.blue_remaining >= 0 and state.red_remaining >= 0
-    fresh = UrnState(N=51)
-    assert fresh.k == 0 and fresh.m == 0
+    N, draws, rounds = 51, 100, 300
+    faces, blue_counts = e4_run(N=N, draws_per_round=draws, rounds=rounds, seed=7)
+    per_round = (faces.reshape(rounds, draws) == "B").sum(axis=1)
+    assert np.array_equal(blue_counts, per_round)
+    assert np.all(blue_counts <= N) and np.all(draws - blue_counts <= N)
+    # drawing the whole urn empties it exactly, round after round: it was refilled
+    _, full = e4_run(N=N, draws_per_round=2 * N, rounds=20, seed=7)
+    assert full.tolist() == [N] * 20
 
 
 def test_e4_round_counts_are_pinched_by_the_supply():
@@ -189,8 +251,9 @@ def test_mixed_box_frequencies():
 def test_single_trials_match_run_distribution():
     box = BoxEnsemble("mixed", n_blue=4, n_red=6)
     rng = substream(8, 0, 0)
-    freq = np.mean([box_trial(box, rng) == "B" for _ in range(20000)])
-    assert freq == pytest.approx(0.4, abs=0.015)
+    singles = np.concatenate([box_run(box, 1, rng) for _ in range(20000)])
+    assert np.array_equal(singles, box_run(box, 20000, substream(8, 0, 0)))
+    assert float(np.mean(singles == "B")) == pytest.approx(0.4, abs=0.015)
 
 
 def test_box_validation():
@@ -199,7 +262,9 @@ def test_box_validation():
     with pytest.raises(ConfigError):
         BoxEnsemble("velvet")
     with pytest.raises(EmptyUrnError):
-        box_trial(BoxEnsemble("mixed"), substream(0, 0, 0))
+        box_run(BoxEnsemble("mixed"), 1, substream(0, 0, 0))
+    with pytest.raises(EmptyUrnError):
+        box_run(BoxEnsemble("pure"), 1, substream(0, 0, 0))
 
 
 def test_pure_and_mixed_full_boxes_are_indistinguishable():
