@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import IncompleteDesignError, InsufficientDataError
 from .models import SettingPair
-from .randtests import TestReport, chi_square_table
+from .randtests import TestReport, check_alpha, chi_square_table
 from .simulate import PairCounts, SelectiveModel, SettingsSchedule, TrialStream, run_counts
 
 # standard maximizer for cosine-law correlations in the 2*theta convention
@@ -262,6 +262,8 @@ def no_signaling_report(
     alpha_raw: float = 0.01,
     alpha_postselected: float = 0.001,
 ) -> NoSignalingReport:
+    check_alpha(alpha_raw)
+    check_alpha(alpha_postselected)
     folded = _counted(stream)
     raw = _singles_tests(folded, folded.counts, "raw-singles", alpha_raw)
     if not raw:

@@ -44,7 +44,7 @@ from .coins import (
     read_coin_csv,
     write_coin_csv,
 )
-from .errors import ConfigError, ContextLabError
+from .errors import ConfigError, ContextLabError, InsufficientDataError
 from .models import SettingPair, load_model
 from .randtests import (
     autocorrelation_test,
@@ -328,7 +328,7 @@ def cmd_bell_analyze(args) -> int:
             flag = "REJECT" if t.reject else "ok"
             print(f"{t.name:<40} chi2={t.statistic:9.3f} p={t.p_value:.3g} [{flag}]")
         doc["no_signaling"] = [t.to_dict() for t in ns.all_tests()]
-    except ContextLabError as exc:
+    except InsufficientDataError as exc:
         print(f"no-signaling comparison skipped: {exc}")
 
     if config["report"]:

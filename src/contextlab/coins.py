@@ -14,7 +14,7 @@ protocol removes unobserved coins and compares frequencies before and after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,10 +30,9 @@ COIN_CSV_HEADER = ("trial", "outcome")
 COIN_ROW = np.dtype([("trial", "i8"), ("outcome", "S2")])
 
 
-def opposite(face: str) -> str:
-    if face not in FACES:
-        raise ConfigError(f"face must be 'B' or 'R', got {face!r}")
-    return "R" if face == "B" else "B"
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -43,50 +42,28 @@ def opposite(face: str) -> str:
 
 def d1_step(face: str) -> str:
     """Deterministic inverter: B in gives R out and vice versa."""
-    return opposite(face)
-
-
-@dataclass(frozen=True)
-class D2State:
-    """Alternating device memory; `last` is None before the first flip."""
-
-    last: str | None = None
-
-
-def d2_step(state: D2State, face: str, rng: np.random.Generator) -> tuple[str, D2State]:
-    """Alternating flipper: the first output is a fair draw, then it strictly
-    alternates regardless of the inserted face."""
-    opposite(face)  # validates the input face
-    if state.last is None:
-        out = "B" if rng.random() < 0.5 else "R"
-    else:
-        out = opposite(state.last)
-    return out, replace(state, last=out)
-
-
-def d3_step(rng: np.random.Generator, p_blue: float = 0.5) -> str:
-    """Bernoulli flipper; p_blue != 0.5 models a perturbed device."""
-    if not 0.0 <= p_blue <= 1.0:
-        raise ConfigError(f"p_blue must be in [0, 1], got {p_blue}")
-    return "B" if rng.random() < p_blue else "R"
+    if face not in FACES:
+        raise ConfigError(f"face must be 'B' or 'R', got {face!r}")
+    return "R" if face == "B" else "B"
 
 
 def d1_run(first_face: str, n: int) -> np.ndarray:
     """Feed the same face n times; the output is the constant opposite."""
-    return np.array([d1_step(first_face)] * n)
+    _check_n(n)
+    return np.full(n, d1_step(first_face))
 
 
 def d2_run(n: int, seed) -> np.ndarray:
-    rng = substream(seed, 0, 0)
-    state = D2State()
-    out = []
-    for _ in range(n):
-        face, state = d2_step(state, "B", rng)
-        out.append(face)
-    return np.array(out)
+    """Alternating flipper: the first output is a fair draw, then it strictly
+    alternates regardless of the inserted face."""
+    _check_n(n)
+    first_blue = substream(seed, 0, 0).random() < 0.5
+    return np.where((np.arange(n) % 2 == 0) == first_blue, "B", "R")
 
 
 def d3_run(n: int, seed, p_blue: float = 0.5) -> np.ndarray:
+    """Bernoulli flipper; p_blue != 0.5 models a perturbed device."""
+    _check_n(n)
     if not 0.0 <= p_blue <= 1.0:
         raise ConfigError(f"p_blue must be in [0, 1], got {p_blue}")
     rng = substream(seed, 0, 0)
@@ -99,53 +76,15 @@ def d3_run(n: int, seed, p_blue: float = 0.5) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UrnState:
-    """Progress of one round: k draws so far, m of them blue, N per color."""
-
-    N: int
-    k: int = 0
-    m: int = 0
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ConfigError("N must be >= 1")
-        if not (0 <= self.m <= min(self.k, self.N)):
-            raise ConfigError(f"invalid urn state: k={self.k}, m={self.m}, N={self.N}")
-        if self.k > 2 * self.N or self.k - self.m > self.N:
-            raise ConfigError(f"invalid urn state: k={self.k}, m={self.m}, N={self.N}")
-
-    @property
-    def blue_remaining(self) -> int:
-        return self.N - self.m
-
-    @property
-    def red_remaining(self) -> int:
-        return self.N - (self.k - self.m)
-
-
-def e4_draw_probability(k: int, m: int, N: int) -> float:
-    """Chance of blue at draw k+1 after m blues in k draws: (N-m)/(2N-k)."""
-    if N < 1 or m < 0 or m > k or m > N or k - m > N:
-        raise ConfigError(f"invalid urn state: k={k}, m={m}, N={N}")
-    if k >= 2 * N:
-        raise EmptyUrnError(f"all {2 * N} coins already drawn")
-    return (N - m) / (2 * N - k)
-
-
-def e4_step(state: UrnState, rng: np.random.Generator) -> tuple[str, UrnState]:
-    p_blue = e4_draw_probability(state.k, state.m, state.N)
-    if rng.random() < p_blue:
-        return "B", replace(state, k=state.k + 1, m=state.m + 1)
-    return "R", replace(state, k=state.k + 1)
-
-
 def e4_run(
     N: int, draws_per_round: int, rounds: int, seed
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rounds of without-replacement draws; the urn refills between rounds.
 
-    Returns the concatenated face stream and the per-round blue counts.
+    Round r takes its uniforms from `substream(seed, r, 0)`, and draw k of
+    every round is blue when its uniform is below (N-m)/(2N-k), m being the
+    round's blues so far; all rounds advance together, one draw index at a
+    time.  Returns the concatenated face stream and the per-round blue counts.
     """
     if draws_per_round > 2 * N:
         raise ConfigError(
@@ -153,21 +92,19 @@ def e4_run(
         )
     if draws_per_round < 1 or rounds < 1:
         raise ConfigError("draws_per_round and rounds must be >= 1")
-    faces = np.empty(draws_per_round * rounds, dtype="<U1")
-    blue_counts = np.empty(rounds, dtype=np.int64)
-    pos = 0
+    if N > 2**52:
+        # below this every count is an exact float64, so each quotient is the
+        # correctly rounded (N-m)/(2N-k) and int64 arithmetic cannot overflow
+        raise ConfigError(f"N must be at most 2**52, got {N}")
+    u = np.empty((rounds, draws_per_round))
     for r in range(rounds):
-        rng = substream(seed, r, 0)
-        m = 0
-        for k in range(draws_per_round):
-            if rng.random() < e4_draw_probability(k, m, N):
-                faces[pos] = "B"
-                m += 1
-            else:
-                faces[pos] = "R"
-            pos += 1
-        blue_counts[r] = m
-    return faces, blue_counts
+        substream(seed, r, 0).random(out=u[r])
+    blue = np.empty(u.shape, dtype=bool)
+    m = np.zeros(rounds, dtype=np.int64)
+    for k in range(draws_per_round):
+        blue[:, k] = u[:, k] < (N - m) / (2 * N - k)
+        m += blue[:, k]
+    return np.where(blue.ravel(), "B", "R"), m
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +141,8 @@ class BoxEnsemble:
         return self.n_blue + self.n_red if self.kind == "mixed" else self.n_coins
 
 
-def box_trial(box: BoxEnsemble, rng: np.random.Generator) -> str:
-    if box.size < 1:
-        raise EmptyUrnError("box is empty")
-    if box.kind == "mixed":
-        return "B" if rng.random() < box.n_blue / box.size else "R"
-    return d3_step(rng)
-
-
 def box_run(box: BoxEnsemble, n: int, rng: np.random.Generator) -> np.ndarray:
+    _check_n(n)
     if box.size < 1:
         raise EmptyUrnError("box is empty")
     if box.kind == "mixed":

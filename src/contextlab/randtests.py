@@ -26,12 +26,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 
 RUNS_NORMAL_CUTOFF = 20
 FREQUENCY_NORMAL_CUTOFF = 30
 MIN_BLOCKS = 30
 MIN_SUBSAMPLE = 50
+
+
+def check_alpha(alpha: float) -> None:
+    """A significance level must lie strictly between 0 and 1 (NaN does not)."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,7 @@ class TestReport:
     reject: bool = field(init=False)
 
     def __post_init__(self):
+        check_alpha(self.alpha)
         if not (0.0 <= self.p_value <= 1.0):
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
         object.__setattr__(self, "reject", bool(self.p_value < self.alpha))

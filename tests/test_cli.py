@@ -403,6 +403,47 @@ def test_coins_run_hole_protocol_summary(tmp_path):
     assert "test" in doc
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize(
+    "experiment, flag",
+    [
+        ("e1", "--n"),
+        ("e2", "--n"),
+        ("e3", "--n"),
+        ("e5", "--n"),
+        ("e6", "--n"),
+        ("e4", "--draws-per-round"),
+        ("e4", "--rounds"),
+        ("hole", "--trials-after"),
+    ],
+)
+def test_coins_run_refuses_sample_sizes_below_one(tmp_path, capsys, experiment, flag, n):
+    argv = ["coins-run", "--experiment", experiment, flag, n, "--out", str(tmp_path / "c.csv")]
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", ["2", "1", "0", "-1", "nan"])
+def test_out_of_range_alpha_is_a_data_error(tmp_path, capsys, alpha):
+    stream, urn = tmp_path / "s.csv", tmp_path / "urn.csv"
+    assert run(["bell-run", "--n-trials", "2000", "--out", str(stream)]) == 0
+    assert run(["coins-run", "--experiment", "e3", "--n", "2000", "--out", str(urn)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["stream-test", "--stream", str(urn), "--kind", "coins", "--alpha", alpha],
+        ["stream-test", "--stream", str(stream), "--kind", "bell", "--alpha", alpha],
+        ["bell-analyze", "--stream", str(stream), "--alpha-raw", alpha],
+        ["bell-analyze", "--stream", str(stream), "--alpha-postselected", alpha],
+        ["coins-run", "--experiment", "hole", "--trials-after", "1000", "--alpha", alpha,
+         "--out", str(tmp_path / "hole.json")],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "alpha must be in (0, 1)" in captured.err
+        assert "skipped" not in captured.out
+
+
 def test_stream_test_bell_wing_maps_to_indicators(tmp_path):
     stream_path = tmp_path / "s.csv"
     assert (

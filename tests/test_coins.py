@@ -218,6 +218,25 @@ def test_e4_run_validation():
         e4_run(N=51, draws_per_round=103, rounds=1, seed=0)
     with pytest.raises(ConfigError):
         e4_run(N=51, draws_per_round=0, rounds=1, seed=0)
+    # the largest urn whose draw probabilities are exact float64 quotients
+    for got, want in zip(e4_run(2**52, 50, 3, 0), reference_e4_run(2**52, 50, 3, 0)):
+        assert_same_array(got, want)
+    with pytest.raises(ConfigError):
+        e4_run(N=2**52 + 1, draws_per_round=1, rounds=1, seed=0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_coin_runs_refuse_fewer_than_one_draw(n):
+    rng = substream(0, 0, 0)
+    for run in (
+        lambda: d1_run("B", n),
+        lambda: d2_run(n, 0),
+        lambda: d3_run(n, 0),
+        lambda: box_run(BoxEnsemble("mixed", n_blue=1, n_red=1), n, rng),
+        lambda: box_run(BoxEnsemble("pure", n_coins=2), n, rng),
+    ):
+        with pytest.raises(ConfigError):
+            run()
 
 
 def test_e4_stream_passes_frequency_but_fails_dispersion_and_lags():

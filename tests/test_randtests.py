@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from contextlab.errors import InsufficientDataError
+from contextlab.errors import ConfigError, InsufficientDataError
 from contextlab.randtests import (
     autocorrelation_test,
     block_variance_test,
@@ -333,6 +333,18 @@ def test_two_proportion_degenerate_pool():
     report = two_proportion_test(0, 50, 0, 70)
     assert report.p_value == 1.0
     assert not report.reject
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.01, 2.0, math.nan, math.inf])
+def test_alpha_outside_the_open_unit_interval_is_refused(alpha):
+    stream = iid_stream(1000, 0.5, 0)
+    for test in (
+        lambda: runs_test(stream, alpha),
+        lambda: frequency_test(stream, 0.5, alpha),
+        lambda: two_proportion_test(40, 100, 60, 100, alpha=alpha),
+    ):
+        with pytest.raises(ConfigError, match="alpha"):
+            test()
 
 
 # --- calibration (rejection rate at the null) ----------------------------------------------
