@@ -275,6 +275,49 @@ def test_p_value_report_bytes_are_pinned(tmp_path):
     )
 
 
+def test_effective_config_bytes_are_pinned(tmp_path, monkeypatch):
+    # recorded before the command table replaced the per-command defaults:
+    # flags are echoed as the strings given, defaults with their JSON types
+    monkeypatch.setenv("CONTEXTLAB_OUTDIR", str(tmp_path))
+    seeds = ["--n-trials", "2000", "--master-seed", "3", "--schedule-seed", "2"]
+    assert run(["bell-run", *seeds, "--chunk-size", "512", "--out", "s.csv"]) == 0
+    hole = ["coins-run", "--experiment", "hole", "--trials-after", "1000", "--seed", "1"]
+    assert run(hole + ["--out", "hole.json"]) == 0
+    assert run(["lhv-bound", "--report", "bound.json"]) == 0
+    assert run(["demo", "--quick", "--out-dir", "demo", "--seed", "1"]) == 0
+    digests = {
+        name: stream_digest(tmp_path / name)
+        for name in (
+            "s.csv.config.json",
+            "hole.json.config.json",
+            "bound.json",
+            "bound.json.config.json",
+            "demo/demo_report.json",
+            "demo/demo_report.json.config.json",
+        )
+    }
+    assert digests == {
+        "s.csv.config.json": (
+            "83a95394fc519dc1b004bea6c6a3a8ce9d5aba88af49765eb2afad404755b3ac"
+        ),
+        "hole.json.config.json": (
+            "59c87bb55eddc9bbfcf3f05013698228c41ec30de41f568d64997315dd7d767b"
+        ),
+        "bound.json": (
+            "7a675ffea8382aa1bd881ba16c25014d4d2eb388ff81cc190581ef88eb5c97ab"
+        ),
+        "bound.json.config.json": (
+            "f422d062e852677c477815dc03e6f30fd41cbae90682a083fb66cda51e1b90dd"
+        ),
+        "demo/demo_report.json": (
+            "1e897c3203a36614ab3e447167c07e6217e38e46bf8498751470da14ee6d8005"
+        ),
+        "demo/demo_report.json.config.json": (
+            "ebedbc76056b4bebe2c70b958b0bf656624d0c579dfe3ea262d9ce44c2498ef9"
+        ),
+    }
+
+
 def test_unreadable_stream_is_a_data_error(tmp_path):
     missing = tmp_path / "nope.csv"
     assert run(["bell-analyze", "--stream", str(missing)]) == 2
