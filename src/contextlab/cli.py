@@ -17,8 +17,10 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -68,8 +70,6 @@ from .simulate import (
     write_stream_csv,
 )
 
-OUTDIR_ENV = "CONTEXTLAB_OUTDIR"
-
 
 class UsageError(Exception):
     """Bad flags or malformed argument values; exits with status 1."""
@@ -81,7 +81,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Argument helpers
+# Field parsers: a flag string or a config-file value -> the value a command
+# uses.  A TypeError or ValueError becomes a usage error naming the field.
 # ---------------------------------------------------------------------------
 
 _ANGLE_RE = re.compile(r"^(?P<sign>-?)(?P<coef>\d+(?:\.\d+)?)?\s*pi(?:/(?P<div>\d+(?:\.\d+)?))?$")
@@ -89,221 +90,229 @@ _ANGLE_RE = re.compile(r"^(?P<sign>-?)(?P<coef>\d+(?:\.\d+)?)?\s*pi(?:/(?P<div>\
 
 def parse_angle(token: str) -> float:
     """Angle token: a float, or '[-][k]pi[/m]' such as 'pi/8', '3pi/8' or '-pi/4'."""
-    token = token.strip()
-    m = _ANGLE_RE.match(token)
+    m = _ANGLE_RE.match(token.strip())
     if m:
         coef = float(m.group("coef")) if m.group("coef") else 1.0
         div = float(m.group("div")) if m.group("div") else 1.0
         angle = coef * math.pi / div
         return -angle if m.group("sign") else angle
-    try:
-        return float(token)
-    except ValueError:
-        raise UsageError(f"cannot parse angle {token!r}") from None
+    return float(token)
+
+
+def _items(value) -> list[str]:
+    """The non-blank items of comma-separated text."""
+    if not isinstance(value, str):
+        raise TypeError("expected comma-separated text")
+    return [t.strip() for t in value.split(",") if t.strip()]
 
 
 def parse_angle_list(text: str) -> tuple[float, ...]:
-    return tuple(parse_angle(t) for t in text.split(",") if t.strip())
+    return tuple(parse_angle(t) for t in _items(text))
 
 
-def parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.split(",") if t.strip())
-    except ValueError as exc:
-        raise UsageError(f"cannot parse number list {text!r}: {exc}") from None
+def integer(value) -> int:
+    """An int, an integral float or the text of an int; never a bool."""
+    if type(value) is str or (type(value) in (int, float) and value == int(value)):
+        return int(value)
+    raise TypeError("expected an integer")
 
 
-def _number(config: dict, key: str, kind: type = int):
-    """`config[key]` as an int or a float; a value that does not parse is a usage error."""
-    try:
-        return kind(config[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be of type {kind.__name__}, got {config[key]!r}") from None
+def number(value) -> float:
+    """An int, a float or the text of one; never a bool."""
+    if type(value) in (int, float, str):
+        return float(value)
+    raise TypeError("expected a number")
+
+
+def text(value) -> str:
+    """A non-empty string: a path or a name."""
+    if isinstance(value, str) and value:
+        return value
+    raise TypeError("expected a non-empty string")
+
+
+def optional(value) -> str | None:
+    """An output path that may be left out."""
+    return None if value is None else text(value)
+
+
+def switch(value) -> bool:
+    """A flag without an argument; true, false or null in a config file."""
+    if value is None or isinstance(value, bool):
+        return bool(value)
+    raise TypeError("expected true or false")
+
+
+def four_angles(value) -> tuple[float, ...]:
+    """The CHSH settings a, a', b, b'."""
+    settings = parse_angle_list(value)
+    if len(settings) != 4:
+        raise ValueError(f"expected four angles a,a',b,b', got {len(settings)}")
+    return settings
+
+
+def numbers(value) -> tuple[float, ...]:
+    return tuple(float(t) for t in _items(value))
+
+
+def choice(*names: str):
+    def parse(value) -> str:
+        if value in names:
+            return value
+        raise ValueError(f"expected one of {', '.join(names)}")
+
+    return parse
+
+
+def choices(*names: str):
+    """A non-empty comma-separated list of `names`, in the order given."""
+
+    def parse(value) -> tuple[str, ...]:
+        picked = tuple(choice(*names)(t) for t in _items(value))
+        if not picked:
+            raise ValueError(f"expected at least one of {', '.join(names)}")
+        return picked
+
+    return parse
+
+
+@dataclass(frozen=True)
+class Field:
+    parse: Callable[[Any], Any]
+    default: Any = None
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    fields: dict[str, Field]
+    run: Callable[[dict, dict], int]  # (parsed values, config as given) -> exit status
 
 
 def out_path(name: str | Path) -> Path:
     p = Path(name)
     if not p.is_absolute():
-        base = os.environ.get(OUTDIR_ENV)
+        base = os.environ.get("CONTEXTLAB_OUTDIR")
         if base:
             p = Path(base) / p
     p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 
-def load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def merge_config(name: str, args: argparse.Namespace) -> tuple[dict, dict]:
+    """defaults < config file < explicit flags (flags parse to None when absent).
+
+    Returns the merged config as given, which `write_effective_config` echoes,
+    and every field parsed once, before the command does any work.
+    """
+    fields = TABLE[name].fields
+    config = {key: field.default for key, field in fields.items()}
     try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return data
-
-
-def merge_config(args: argparse.Namespace, file_config: dict, defaults: dict) -> dict:
-    """defaults < config file < explicit flags (flags parse to None when absent)."""
-    merged = dict(defaults)
+        file_config = {} if args.config is None else json.loads(Path(args.config).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(file_config, dict):
+        raise ConfigError(f"config {args.config} must hold a JSON object")
     for key, value in file_config.items():
-        if key == "command":
-            continue
-        if key not in defaults:
+        if key not in fields and key != "command":
             raise ConfigError(f"unknown config field {key!r}")
-        merged[key] = value
-    for key in defaults:
-        flag = getattr(args, key.replace("-", "_"), None)
+        config[key] = value
+    for key in fields:
+        flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
-            merged[key] = flag
-    return merged
+            config[key] = flag
+    config["command"] = name  # whatever the file says
+    values = {}
+    for key, field in fields.items():
+        try:
+            values[key] = field.parse(config[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            if config[key] is None:
+                raise UsageError(f"{name} requires --{key}") from None
+            raise UsageError(f"{key}: cannot use {config[key]!r} ({exc})") from None
+    return config, values
 
 
-def write_effective_config(config: dict, command: str, artifact: Path) -> Path:
-    doc = {"command": command, **config}
+def write_effective_config(config: dict, artifact: Path) -> Path:
     path = artifact.with_suffix(artifact.suffix + ".config.json")
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+    path.write_text(json.dumps(config, indent=1, sort_keys=True))
+    return path
+
+
+def write_report(doc: dict, path: Path, config: dict, sort_keys: bool = True) -> Path:
+    """Write a JSON report and echo the effective config beside it."""
+    path.write_text(json.dumps(doc, indent=1, sort_keys=sort_keys))
+    write_effective_config(config, path)
     return path
 
 
 def emit_plot_data(results, path) -> Path:
     """Write labeled whitespace-separated columns consumable by any plotter.
 
-    Accepts a (header, rows) pair, an object with a .series() method, or a
-    correlation-estimate mapping.
+    Accepts a (header, rows) pair or an object with a .series() method.  A
+    missing value (None) is written as nan.
     """
-    if hasattr(results, "series"):
-        header, rows = results.series()
-    elif isinstance(results, dict):
-        header = ("x_rad", "y_rad", "theta", "raw_e", "raw_se", "coinc_e", "coinc_se")
-        rows = [
-            (
-                pair.x,
-                pair.y,
-                pair.x - pair.y,
-                est.raw_expectation,
-                est.raw_se,
-                est.coincidence_expectation if est.coincidence_expectation is not None else "nan",
-                est.coincidence_se if est.coincidence_se is not None else "nan",
-            )
-            for pair, est in results.items()
-        ]
-    else:
-        header, rows = results
+    def cell(v) -> str:
+        return "nan" if v is None else repr(v) if isinstance(v, float) else str(v)
+
+    header, rows = results.series() if hasattr(results, "series") else results
     p = out_path(path)
     with p.open("w") as fh:
         fh.write("# " + " ".join(str(h) for h in header) + "\n")
         for row in rows:
-            fh.write(" ".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            fh.write(" ".join(cell(v) for v in row) + "\n")
     return p
 
 
-def build_model(config: dict):
-    kind = config["model"]
-    if kind == "malus":
-        return MalusModel()
-    if kind == "selective":
-        return SelectiveModel(
-            _number(config, "sharpness", float), _number(config, "asymmetry", float)
-        )
-    if isinstance(kind, str) and kind.endswith(".json"):
-        return load_model(kind)
-    raise ConfigError(f"unknown model {kind!r} (use malus, selective, or a .json path)")
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed values and the config as given
 # ---------------------------------------------------------------------------
 
-BELL_RUN_DEFAULTS = {
-    "model": "malus",
-    "sharpness": 0.0,
-    "asymmetry": 0.0,
-    "x-settings": "0,pi/4",
-    "y-settings": "pi/8,3pi/8",
-    "schedule": "random",
-    "schedule-seed": 1,
-    "n-trials": 100000,
-    "master-seed": 0,
-    "chunk-size": 65536,
-    "out": "stream.csv",
-}
 
-
-def cmd_bell_run(args) -> int:
-    config = merge_config(args, load_config_file(args.config), BELL_RUN_DEFAULTS)
-    model = build_model(config)
-    xs = parse_angle_list(str(config["x-settings"]))
-    ys = parse_angle_list(str(config["y-settings"]))
+def cmd_bell_run(v: dict, config: dict) -> int:
+    if v["model"] == "malus":
+        model = MalusModel()
+    elif v["model"] == "selective":
+        model = SelectiveModel(v["sharpness"], v["asymmetry"])
+    elif v["model"].endswith(".json"):
+        model = load_model(v["model"])
+    else:
+        raise ConfigError(f"unknown model {v['model']!r} (use malus, selective, or a .json path)")
     schedule = SettingsSchedule(
-        str(config["schedule"]), xs, ys, seed=_number(config, "schedule-seed")
+        v["schedule"], v["x-settings"], v["y-settings"], seed=v["schedule-seed"]
     )
-    n = _number(config, "n-trials")
-    seed = _number(config, "master-seed")
-    chunk_size = _number(config, "chunk-size")
+    n, seed, chunk_size = v["n-trials"], v["master-seed"], v["chunk-size"]
     stream = run_experiment(model, schedule, n, seed, chunk_size)
-    target = out_path(config["out"])
+    target = out_path(v["out"])
     write_stream_csv(stream, target, stream_metadata(model, schedule, n, seed, chunk_size))
-    config_path = write_effective_config(config, "bell-run", target)
     print(f"wrote {len(stream)} trials to {target}")
-    print(f"effective config: {config_path}")
+    print(f"effective config: {write_effective_config(config, target)}")
     return 0
 
 
-BELL_ANALYZE_DEFAULTS = {
-    "stream": None,
-    "chsh-settings": "0,pi/4,pi/8,3pi/8",
-    "mode": "both",
-    "alpha-raw": 0.01,
-    "alpha-postselected": 0.001,
-    "report": None,
-    "plot-data": None,
-}
-
-
-def cmd_bell_analyze(args) -> int:
-    config = merge_config(args, load_config_file(args.config), BELL_ANALYZE_DEFAULTS)
-    if not config["stream"]:
-        raise UsageError("bell-analyze requires --stream")
-    stream = read_stream_csv(config["stream"])
-    folded = PairCounts.from_stream(stream)
+def cmd_bell_analyze(v: dict, config: dict) -> int:
+    folded = PairCounts.from_stream(read_stream_csv(v["stream"]))
     estimates = estimate_correlations(folded)
 
     print(f"{'x':>10} {'y':>10} {'n':>8} {'raw E':>9} {'raw SE':>8} {'coinc E':>9} {'coinc SE':>9}")
+    correlations, rows = [], []
     for pair, est in estimates.items():
-        ce = "undef" if est.coincidence_expectation is None else f"{est.coincidence_expectation:9.4f}"
-        cse = "" if est.coincidence_se is None else f"{est.coincidence_se:9.4f}"
+        ce, cse = est.coincidence_expectation, est.coincidence_se
         print(
             f"{pair.x:10.4f} {pair.y:10.4f} {est.n_trials:8d} "
-            f"{est.raw_expectation:9.4f} {est.raw_se:8.4f} {ce:>9} {cse:>9}"
+            f"{est.raw_expectation:9.4f} {est.raw_se:8.4f} "
+            f"{'undef' if ce is None else f'{ce:9.4f}':>9} "
+            f"{'' if cse is None else f'{cse:9.4f}':>9}"
         )
+        entry = asdict(est)
+        entry.update(entry.pop("pair"), n=entry.pop("n_trials"), counts=est.counts.tolist())
+        correlations.append(entry)
+        rows.append((pair.x, pair.y, pair.x - pair.y, est.raw_expectation, est.raw_se, ce, cse))
+    doc: dict = {"n_trials": len(folded), "correlations": correlations}
 
-    doc: dict = {
-        "n_trials": len(stream),
-        "correlations": [
-            {
-                "x": pair.x,
-                "y": pair.y,
-                "n": est.n_trials,
-                "counts": est.counts.tolist(),
-                "raw_expectation": est.raw_expectation,
-                "raw_se": est.raw_se,
-                "n_coincidences": est.n_coincidences,
-                "coincidence_expectation": est.coincidence_expectation,
-                "coincidence_se": est.coincidence_se,
-            }
-            for pair, est in estimates.items()
-        ],
-    }
-
-    settings = parse_angle_list(str(config["chsh-settings"]))
-    modes = ("raw", "coincidence") if config["mode"] == "both" else (str(config["mode"]),)
-    have = set(estimates)
-    a, ap, b, bp = settings
-    wanted = {SettingPair(a, b), SettingPair(a, bp), SettingPair(ap, b), SettingPair(ap, bp)}
-    if wanted <= have:
+    settings = v["chsh-settings"]
+    modes = ("raw", "coincidence") if v["mode"] == "both" else (v["mode"],)
+    if all(SettingPair(x, y) in estimates for x in settings[:2] for y in settings[2:]):
         for mode in modes:
             try:
                 result = chsh(estimates, *settings, mode=mode)
@@ -319,11 +328,7 @@ def cmd_bell_analyze(args) -> int:
             }
 
     try:
-        ns = no_signaling_report(
-            folded,
-            _number(config, "alpha-raw", float),
-            _number(config, "alpha-postselected", float),
-        )
+        ns = no_signaling_report(folded, v["alpha-raw"], v["alpha-postselected"])
         for t in ns.all_tests():
             flag = "REJECT" if t.reject else "ok"
             print(f"{t.name:<40} chi2={t.statistic:9.3f} p={t.p_value:.3g} [{flag}]")
@@ -331,63 +336,32 @@ def cmd_bell_analyze(args) -> int:
     except InsufficientDataError as exc:
         print(f"no-signaling comparison skipped: {exc}")
 
-    if config["report"]:
-        path = out_path(config["report"])
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True))
-        write_effective_config(config, "bell-analyze", path)
-        print(f"report: {path}")
-    if config["plot-data"]:
-        print(f"plot data: {emit_plot_data(estimates, config['plot-data'])}")
+    if v["report"]:
+        print(f"report: {write_report(doc, out_path(v['report']), config)}")
+    if v["plot-data"]:
+        header = ("x_rad", "y_rad", "theta", "raw_e", "raw_se", "coinc_e", "coinc_se")
+        print(f"plot data: {emit_plot_data((header, rows), v['plot-data'])}")
     return 0
 
 
-LHV_DEFAULTS = {"report": None}
-
-
-def cmd_lhv_bound(args) -> int:
-    config = merge_config(args, load_config_file(args.config), LHV_DEFAULTS)
+def cmd_lhv_bound(v: dict, config: dict) -> int:
     result = lhv_bound_enumeration()
     print(" A(a) A(a') B(b) B(b')     S")
     for aa, ap, bb, bp, s in result.vertices:
         print(f"{aa:+5d} {ap:+5d} {bb:+4d} {bp:+5d} {s:+6d}")
     print(f"max |S| over deterministic strategies: {result.max_abs_s:g}")
     print(result.note)
-    if config["report"]:
-        path = out_path(config["report"])
-        path.write_text(
-            json.dumps(
-                {
-                    "max_abs_s": result.max_abs_s,
-                    "vertices": [list(v) for v in result.vertices],
-                    "note": result.note,
-                },
-                indent=1,
-            )
-        )
-        write_effective_config(config, "lhv-bound", path)
-        print(f"report: {path}")
+    if v["report"]:
+        doc = asdict(result)
+        del doc["argmax"]
+        # the keys stay in field order, as this report has always been written
+        print(f"report: {write_report(doc, out_path(v['report']), config, sort_keys=False)}")
     return 0
 
 
-SWEEP_DEFAULTS = {
-    "d-grid": ",".join(str(d) for d in DEFAULT_SWEEP_GRID),
-    "asymmetry": 0.25,
-    "settings": "0,pi/4,pi/8,3pi/8",
-    "trials-per-point": 1000000,
-    "master-seed": 0,
-    "report": None,
-    "plot-data": None,
-}
-
-
-def cmd_sweep(args) -> int:
-    config = merge_config(args, load_config_file(args.config), SWEEP_DEFAULTS)
+def cmd_sweep(v: dict, config: dict) -> int:
     result = calibration_sweep(
-        d_grid=parse_float_list(str(config["d-grid"])),
-        settings=parse_angle_list(str(config["settings"])),
-        trials_per_point=_number(config, "trials-per-point"),
-        master_seed=_number(config, "master-seed"),
-        asymmetry=_number(config, "asymmetry", float),
+        v["d-grid"], v["settings"], v["trials-per-point"], v["master-seed"], v["asymmetry"]
     )
     print(f"{'d':>6} {'|S| quad':>10} {'|S| MC':>10} {'discrepancy':>12} {'min rate':>9}")
     for row in result.rows:
@@ -401,89 +375,47 @@ def cmd_sweep(args) -> int:
         f"|S| = {abs(result.best.s_quadrature):.4f} (quadrature), "
         f"{abs(result.best.s_monte_carlo):.4f} (Monte Carlo)"
     )
-    if config["report"]:
-        path = out_path(config["report"])
+    if v["report"]:
         doc = asdict(result)
         doc["best_sharpness"] = doc.pop("best")["sharpness"]
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True))
-        write_effective_config(config, "sweep", path)
-        print(f"report: {path}")
-    if config["plot-data"]:
-        print(f"plot data: {emit_plot_data(result, config['plot-data'])}")
+        print(f"report: {write_report(doc, out_path(v['report']), config)}")
+    if v["plot-data"]:
+        print(f"plot data: {emit_plot_data(result, v['plot-data'])}")
     return 0
 
 
-COINS_DEFAULTS = {
-    "experiment": None,
-    "n": 10000,
-    "seed": 0,
-    "input-face": "B",
-    "p-blue": 0.5,
-    "urn-n": 51,
-    "draws-per-round": 100,
-    "rounds": 100,
-    "n-blue": 50,
-    "n-red": 50,
-    "n-coins": 100,
-    "n-removed": 90,
-    "trials-after": 100000,
-    "alpha": 0.01,
-    "out": "coins.csv",
-}
-
-
-def cmd_coins_run(args) -> int:
-    config = merge_config(args, load_config_file(args.config), COINS_DEFAULTS)
-    kind = config["experiment"]
-    if kind not in ("e1", "e2", "e3", "e4", "e5", "e6", "hole"):
-        raise UsageError("--experiment must be one of e1..e6 or hole")
-    n = _number(config, "n")
-    seed = _number(config, "seed")
+def cmd_coins_run(v: dict, config: dict) -> int:
+    kind, n, seed = v["experiment"], v["n"], v["seed"]
     summary: dict = {"experiment": kind, "seed": seed}
     if kind == "e1":
-        faces = d1_run(str(config["input-face"]), n)
+        faces = d1_run(v["input-face"], n)
     elif kind == "e2":
         faces = d2_run(n, seed)
     elif kind == "e3":
-        faces = d3_run(n, seed, _number(config, "p-blue", float))
+        faces = d3_run(n, seed, v["p-blue"])
     elif kind == "e4":
-        faces, blue_counts = e4_run(
-            _number(config, "urn-n"),
-            _number(config, "draws-per-round"),
-            _number(config, "rounds"),
-            seed,
-        )
+        faces, blue_counts = e4_run(v["urn-n"], v["draws-per-round"], v["rounds"], seed)
         summary["blue_counts_per_round"] = blue_counts.tolist()
         summary["blue_count_mean"] = float(blue_counts.mean())
         summary["blue_count_variance"] = float(blue_counts.var(ddof=1)) if len(blue_counts) > 1 else 0.0
     elif kind in ("e5", "e6"):
         box = (
-            BoxEnsemble("mixed", n_blue=_number(config, "n-blue"), n_red=_number(config, "n-red"))
+            BoxEnsemble("mixed", n_blue=v["n-blue"], n_red=v["n-red"])
             if kind == "e5"
-            else BoxEnsemble("pure", n_coins=_number(config, "n-coins"))
+            else BoxEnsemble("pure", n_coins=v["n-coins"])
         )
         faces = box_run(box, n, substream(seed, 0, 0))
     else:
-        box = BoxEnsemble(
-            "mixed", n_blue=_number(config, "n-blue"), n_red=_number(config, "n-red")
-        )
-        result = hole_protocol(
-            box, _number(config, "n-removed"), seed, _number(config, "trials-after"),
-            _number(config, "alpha", float),
-        )
+        box = BoxEnsemble("mixed", n_blue=v["n-blue"], n_red=v["n-red"])
+        result = hole_protocol(box, v["n-removed"], seed, v["trials-after"], v["alpha"])
         summary.update(
-            {
-                "box_before": {"n_blue": box.n_blue, "n_red": box.n_red},
-                "box_after": {
-                    "n_blue": result.box_after.n_blue,
-                    "n_red": result.box_after.n_red,
-                },
-                "removed_blue": result.removed_blue,
-                "removed_red": result.removed_red,
-                "before_frequency": result.before_frequency,
-                "after_frequency": result.after_frequency,
-                "test": result.report.to_dict(),
-            }
+            box_before={"n_blue": box.n_blue, "n_red": box.n_red},
+            box_after={"n_blue": result.box_after.n_blue, "n_red": result.box_after.n_red},
+            removed_blue=result.removed_blue,
+            removed_red=result.removed_red,
+            before_frequency=result.before_frequency,
+            after_frequency=result.after_frequency,
+            test=result.report.to_dict(),
         )
         faces = None
         print(
@@ -492,7 +424,7 @@ def cmd_coins_run(args) -> int:
             f"p = {result.report.p_value:.3g} "
             f"({'REJECT' if result.report.reject else 'no difference detected'})"
         )
-    target = out_path(config["out"])
+    target = out_path(v["out"])
     if faces is not None:
         frequency = float(np.mean(faces == "B"))
         summary["n"] = len(faces)
@@ -503,92 +435,45 @@ def cmd_coins_run(args) -> int:
         # the hole protocol has no stream; its summary is the artifact
         target.write_text(json.dumps(summary, indent=1, sort_keys=True))
         print(f"wrote hole-protocol summary to {target}")
-    config_path = write_effective_config(config, "coins-run", target)
-    print(f"effective config: {config_path}")
+    print(f"effective config: {write_effective_config(config, target)}")
     return 0
 
 
-STREAM_TEST_DEFAULTS = {
-    "stream": None,
-    "kind": "coins",
-    "wing": "A",
-    "tests": "runs,frequency,block-variance,homogeneity,autocorrelation",
-    "p0": 0.5,
-    "block-size": 100,
-    "subsamples": 10,
-    "max-lag": 10,
-    "alpha": 0.01,
-    "report": None,
+# stream-test's battery: test name -> report on a stream under the parsed values
+TESTS = {
+    "runs": lambda bits, v: runs_test(bits, v["alpha"]),
+    "frequency": lambda bits, v: frequency_test(bits, v["p0"], v["alpha"]),
+    "block-variance": lambda bits, v: block_variance_test(bits, v["block-size"], v["alpha"]),
+    "homogeneity": lambda bits, v: homogeneity_test(bits, v["subsamples"], v["alpha"]),
+    "autocorrelation": lambda bits, v: autocorrelation_test(bits, v["max-lag"], v["alpha"]),
 }
 
 
-def _run_named_tests(bits, names, config) -> list:
-    out = []
-    alpha = _number(config, "alpha", float)
-    for name in names:
-        if name == "runs":
-            out.append(runs_test(bits, alpha))
-        elif name == "frequency":
-            out.append(frequency_test(bits, _number(config, "p0", float), alpha))
-        elif name == "block-variance":
-            out.append(block_variance_test(bits, _number(config, "block-size"), alpha))
-        elif name == "homogeneity":
-            out.append(homogeneity_test(bits, _number(config, "subsamples"), alpha))
-        elif name == "autocorrelation":
-            out.append(autocorrelation_test(bits, _number(config, "max-lag"), alpha))
-        else:
-            raise UsageError(f"unknown test {name!r}")
-    return out
-
-
-def cmd_stream_test(args) -> int:
-    config = merge_config(args, load_config_file(args.config), STREAM_TEST_DEFAULTS)
-    if not config["stream"]:
-        raise UsageError("stream-test requires --stream")
-    names = [t.strip() for t in str(config["tests"]).split(",") if t.strip()]
-    reports = []
-    if config["kind"] == "coins":
-        faces = read_coin_csv(config["stream"])
-        reports = _run_named_tests(faces, names, config)
-    elif config["kind"] == "bell":
-        stream = read_stream_csv(config["stream"])
-        wing = str(config["wing"]).upper()
-        if wing not in ("A", "B"):
-            raise UsageError("--wing must be A or B")
-        values = stream.a if wing == "A" else stream.b
-        for symbol, bits in ternary_to_indicators(values).items():
-            for t in _run_named_tests(bits, names, config):
-                reports.append(replace(t, name=f"{t.name}[wing={wing}, outcome={symbol:+d}]"))
+def cmd_stream_test(v: dict, config: dict) -> int:
+    if v["kind"] == "coins":
+        faces = read_coin_csv(v["stream"])
+        reports = [TESTS[name](faces, v) for name in v["tests"]]
     else:
-        raise UsageError("--kind must be 'bell' or 'coins'")
+        stream = read_stream_csv(v["stream"])
+        wing = v["wing"].upper()
+        reports = [
+            replace(t, name=f"{t.name}[wing={wing}, outcome={symbol:+d}]")
+            for symbol, bits in ternary_to_indicators(stream.a if wing == "A" else stream.b).items()
+            for t in (TESTS[name](bits, v) for name in v["tests"])
+        ]
     for t in reports:
         flag = "REJECT" if t.reject else "ok"
         print(f"{t.name:<55} stat={t.statistic:10.3f} p={t.p_value:10.3g} [{flag}]")
-    if config["report"]:
-        path = out_path(config["report"])
-        path.write_text(
-            json.dumps({"tests": [t.to_dict() for t in reports]}, indent=1, sort_keys=True)
-        )
-        write_effective_config(config, "stream-test", path)
-        print(f"report: {path}")
+    if v["report"]:
+        doc = {"tests": [t.to_dict() for t in reports]}
+        print(f"report: {write_report(doc, out_path(v['report']), config)}")
     return 0
 
 
-DEMO_DEFAULTS = {
-    "out-dir": "demo-out",
-    "trials": 1000000,
-    "seed": 0,
-    "quick": None,
-}
-
-
-def cmd_demo(args) -> int:
-    config = merge_config(args, load_config_file(args.config), DEMO_DEFAULTS)
-    quick = bool(config["quick"])
-    n = 100000 if quick else _number(config, "trials")
-    seed = _number(config, "seed")
-    out_dir = out_path(Path(str(config["out-dir"])) / "x")
-    out_dir = out_dir.parent
+def cmd_demo(v: dict, config: dict) -> int:
+    quick, seed = v["quick"], v["seed"]
+    n = 100000 if quick else v["trials"]
+    out_dir = out_path(Path(v["out-dir"]) / "x").parent
     doc: dict = {"quick": quick, "trials": n, "seed": seed}
 
     print("== deterministic shared-space bound ==")
@@ -633,18 +518,12 @@ def cmd_demo(args) -> int:
     witness = SelectiveModel(best.sharpness, 0.25)
     schedule = SettingsSchedule("random", (a, ap), (b, bp), seed=seed + 1)
     ns = no_signaling_report(run_counts(witness, schedule, n, (seed, 20)))
+    raw, post = ns.any_raw_rejection(), ns.any_postselected_rejection()
     print(
-        f"raw singles across counterpart settings: "
-        f"{'REJECT' if ns.any_raw_rejection() else 'no dependence detected'}"
+        f"raw singles across counterpart settings: {'REJECT' if raw else 'no dependence detected'}"
     )
-    print(
-        f"post-selected singles: "
-        f"{'setting-dependent (REJECT)' if ns.any_postselected_rejection() else 'flat'}"
-    )
-    doc["no_signaling"] = {
-        "raw_rejected": ns.any_raw_rejection(),
-        "postselected_rejected": ns.any_postselected_rejection(),
-    }
+    print(f"post-selected singles: {'setting-dependent (REJECT)' if post else 'flat'}")
+    doc["no_signaling"] = {"raw_rejected": raw, "postselected_rejected": post}
 
     print("== coin devices ==")
     rounds = 100 if quick else 1000
@@ -662,11 +541,9 @@ def cmd_demo(args) -> int:
     doc["bernoulli_flagged"] = r_e3.reject
 
     print("== box ensembles and the hole protocol ==")
-    mixed = BoxEnsemble("mixed", n_blue=50, n_red=50)
-    pure = BoxEnsemble("pure", n_coins=100)
     trials_phase = 20000 if quick else 100000
-    hole_mixed = hole_protocol(mixed, 90, seed, trials_phase)
-    hole_pure = hole_protocol(pure, 90, seed, trials_phase)
+    hole_mixed = hole_protocol(BoxEnsemble("mixed", n_blue=50, n_red=50), 90, seed, trials_phase)
+    hole_pure = hole_protocol(BoxEnsemble("pure", n_coins=100), 90, seed, trials_phase)
     print(
         f"mixed box after removing 90 unobserved coins: "
         f"{hole_mixed.box_after.n_blue} blue / {hole_mixed.box_after.n_red} red, "
@@ -698,53 +575,107 @@ def cmd_demo(args) -> int:
     doc["breakdown_coverage"] = list(breakdown.coverage)
     doc["breakdown_flag_rate"] = breakdown.homogeneity_rejection_rate
 
-    report_path = out_dir / "demo_report.json"
-    report_path.write_text(json.dumps(doc, indent=1, sort_keys=True))
-    write_effective_config(config, "demo", report_path)
-    print(f"combined report: {report_path}")
+    print(f"combined report: {write_report(doc, out_dir / 'demo_report.json', config)}")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# The command table and the entry point
 # ---------------------------------------------------------------------------
+
+_REPORT = {"report": Field(optional)}
+_OUTPUTS = {**_REPORT, "plot-data": Field(optional)}
+
+TABLE = {
+    "bell-run": Command("generate a click stream from a model", {
+        "model": Field(text, "malus"),
+        "sharpness": Field(number, 0.0),
+        "asymmetry": Field(number, 0.0),
+        "x-settings": Field(parse_angle_list, "0,pi/4"),
+        "y-settings": Field(parse_angle_list, "pi/8,3pi/8"),
+        "schedule": Field(text, "random"),
+        "schedule-seed": Field(integer, 1),
+        "n-trials": Field(integer, 100000),
+        "master-seed": Field(integer, 0),
+        "chunk-size": Field(integer, 65536),
+        "out": Field(text, "stream.csv"),
+    }, cmd_bell_run),
+    "bell-analyze": Command("estimate correlations, CHSH and no-signaling from a stream", {
+        "stream": Field(text),
+        "chsh-settings": Field(four_angles, "0,pi/4,pi/8,3pi/8"),
+        "mode": Field(choice("both", "raw", "coincidence"), "both"),
+        "alpha-raw": Field(number, 0.01),
+        "alpha-postselected": Field(number, 0.001),
+        **_OUTPUTS,
+    }, cmd_bell_analyze),
+    "lhv-bound": Command("enumerate the 16 deterministic CHSH strategies", _REPORT, cmd_lhv_bound),
+    "sweep": Command("calibrate the rejection sharpness for the coincidence CHSH", {
+        "d-grid": Field(numbers, ",".join(str(d) for d in DEFAULT_SWEEP_GRID)),
+        "asymmetry": Field(number, 0.25),
+        "settings": Field(four_angles, "0,pi/4,pi/8,3pi/8"),
+        "trials-per-point": Field(integer, 1000000),
+        "master-seed": Field(integer, 0),
+        **_OUTPUTS,
+    }, cmd_sweep),
+    "coins-run": Command("run a coin-device or box experiment", {
+        "experiment": Field(choice("e1", "e2", "e3", "e4", "e5", "e6", "hole")),
+        "n": Field(integer, 10000),
+        "seed": Field(integer, 0),
+        "input-face": Field(text, "B"),
+        "p-blue": Field(number, 0.5),
+        "urn-n": Field(integer, 51),
+        "draws-per-round": Field(integer, 100),
+        "rounds": Field(integer, 100),
+        "n-blue": Field(integer, 50),
+        "n-red": Field(integer, 50),
+        "n-coins": Field(integer, 100),
+        "n-removed": Field(integer, 90),
+        "trials-after": Field(integer, 100000),
+        "alpha": Field(number, 0.01),
+        "out": Field(text, "coins.csv"),
+    }, cmd_coins_run),
+    "stream-test": Command("run randomness/purity tests on a stored stream", {
+        "stream": Field(text),
+        "kind": Field(choice("coins", "bell"), "coins"),
+        "wing": Field(choice("A", "B", "a", "b"), "A"),
+        "tests": Field(choices(*TESTS), ",".join(TESTS)),
+        "p0": Field(number, 0.5),
+        "block-size": Field(integer, 100),
+        "subsamples": Field(integer, 10),
+        "max-lag": Field(integer, 10),
+        "alpha": Field(number, 0.01),
+        **_REPORT,
+    }, cmd_stream_test),
+    "demo": Command("full walk-through writing one combined report", {
+        "out-dir": Field(text, "demo-out"),
+        "trials": Field(integer, 1000000),
+        "seed": Field(integer, 0),
+        "quick": Field(switch),
+    }, cmd_demo),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="contextlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"contextlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, defaults):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in TABLE.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        for key, default in defaults.items():
-            flag = "--" + key
-            if isinstance(default, bool) or key == "quick":
-                p.add_argument(flag, action="store_const", const=True, default=None)
+        for key, field in command.fields.items():
+            if field.parse is switch:
+                p.add_argument("--" + key, action="store_const", const=True)
             else:
-                p.add_argument(flag, default=None)
-        return p
-
-    add("bell-run", "generate a click stream from a model", BELL_RUN_DEFAULTS)
-    add("bell-analyze", "estimate correlations, CHSH and no-signaling from a stream", BELL_ANALYZE_DEFAULTS)
-    add("lhv-bound", "enumerate the 16 deterministic CHSH strategies", LHV_DEFAULTS)
-    add("sweep", "calibrate the rejection sharpness for the coincidence CHSH", SWEEP_DEFAULTS)
-    add("coins-run", "run a coin-device or box experiment", COINS_DEFAULTS)
-    add("stream-test", "run randomness/purity tests on a stored stream", STREAM_TEST_DEFAULTS)
-    add("demo", "full walk-through writing one combined report", DEMO_DEFAULTS)
+                p.add_argument("--" + key)
     return parser
 
 
-COMMANDS = {
-    "bell-run": cmd_bell_run,
-    "bell-analyze": cmd_bell_analyze,
-    "lhv-bound": cmd_lhv_bound,
-    "sweep": cmd_sweep,
-    "coins-run": cmd_coins_run,
-    "stream-test": cmd_stream_test,
-    "demo": cmd_demo,
-}
+def execute(name: str, args: argparse.Namespace) -> int:
+    config, values = merge_config(name, args)
+    return TABLE[name].run(values, config)
+
+
+COMMANDS = {name: partial(execute, name) for name in TABLE}
 
 
 def run_command(argv) -> int:

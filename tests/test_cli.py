@@ -7,9 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from contextlab.analysis import estimate_correlations
-from contextlab.cli import emit_plot_data, parse_angle, parse_angle_list, run_command
+from contextlab.cli import TABLE, emit_plot_data, parse_angle, parse_angle_list, run_command
 from contextlab.models import SettingPair
 from contextlab.simulate import read_stream_csv, stream_digest
 
@@ -37,6 +38,17 @@ def test_negative_pi_angles_parse_bit_for_bit():
     assert parse_angle_list("-pi/4,pi/4") == (-(math.pi / 4), math.pi / 4)
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_parse_angle_reads_repr_back_bit_for_bit(x):
+    # -0.0 and subnormals included: the bits, not just the value, come back
+    assert np.float64(parse_angle(repr(x))).tobytes() == np.float64(x).tobytes()
+
+
+@given(st.integers(-(10**12), 10**12), st.integers(1, 10**12))
+def test_parse_angle_pi_fractions_are_exact(k, m):
+    assert np.float64(parse_angle(f"{k}pi/{m}")).tobytes() == np.float64(k * math.pi / m).tobytes()
+
+
 def test_bad_angle_is_a_usage_error(tmp_path):
     code = run(["bell-run", "--x-settings", "frog", "--out", str(tmp_path / "s.csv")])
     assert code == 1
@@ -51,6 +63,16 @@ def test_missing_stream_is_a_usage_error():
     assert run(["bell-analyze"]) == 1
 
 
+@pytest.fixture(scope="module")
+def streams(tmp_path_factory):
+    """A small Bell stream and a small coin stream, for flags checked before reading."""
+    base = tmp_path_factory.mktemp("streams")
+    bell, coins = str(base / "bell.csv"), str(base / "coins.csv")
+    assert run(["bell-run", "--n-trials", "2000", "--out", bell]) == 0
+    assert run(["coins-run", "--experiment", "e3", "--n", "2000", "--out", coins]) == 0
+    return {"BELL": bell, "COINS": coins}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -58,18 +80,70 @@ def test_missing_stream_is_a_usage_error():
         ["bell-run", "--model", "selective", "--sharpness", "steep"],
         ["sweep", "--trials-per-point", "1e6"],
         ["coins-run", "--experiment", "e3", "--p-blue", "half"],
+        # each of these died with a ValueError traceback
+        ["bell-analyze", "--stream", "BELL", "--mode", "bogus"],
+        ["bell-analyze", "--stream", "BELL", "--chsh-settings", "0,1"],
+        ["sweep", "--settings", "0,1", "--trials-per-point", "1000"],
+        # this one ran no test, never checked alpha and exited 0
+        ["stream-test", "--stream", "COINS", "--tests", ",", "--alpha", "5"],
     ],
 )
-def test_unparsable_numbers_are_usage_errors(capsys, argv):
-    assert run(argv) == 1
-    assert "usage error" in capsys.readouterr().err
+def test_unparsable_numbers_are_usage_errors(capsys, streams, argv):
+    assert run([streams.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert "Traceback" not in err
 
 
-def test_unparsable_config_value_is_a_usage_error(tmp_path):
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"n-trials": "abc"},
+        {"n-trials": 1.5},
+        {"n-trials": True},
+        {"master-seed": 2.7},
+        {"sharpness": True},
+        {"x-settings": [0, 1]},
+        {"schedule-seed": None},
+    ],
+    ids=["n-trials-abc", "n-trials-1.5", "n-trials-true", "master-seed-2.7", "sharpness-true",
+         "x-settings-list", "schedule-seed-null"],
+)
+def test_unparsable_config_value_is_a_usage_error(tmp_path, capsys, field):
+    # a fraction or a bool used to be truncated to an int and run silently
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"n-trials": "abc", "out": str(tmp_path / "s.csv")}))
+    config.write_text(json.dumps({"n-trials": 100, "out": str(tmp_path / "s.csv")} | field))
     assert run(["bell-run", "--config", str(config)]) == 1
+    assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        ("demo", {"quick": "yes"}),
+        ("coins-run", {"experiment": 4}),
+        ("coins-run", {"experiment": "e1", "input-face": 1}),
+        ("stream-test", {"stream": 5}),
+        ("stream-test", {"stream": "s.csv", "tests": ["runs"]}),
+        ("sweep", {"d-grid": 0.5}),
+        ("bell-analyze", {"stream": "s.csv", "report": False}),
+    ],
+)
+def test_wrong_json_type_in_a_config_is_a_usage_error(tmp_path, capsys, command, field):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(field))
+    assert run([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and list(field)[-1] in err  # the last field is the wrong one
+
+
+def test_integral_config_numbers_run_and_are_echoed_as_given(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n-trials": 300.0, "out": str(tmp_path / "s.csv")}))
+    assert run(["bell-run", "--config", str(config)]) == 0
+    assert len(read_stream_csv(tmp_path / "s.csv")) == 300
+    assert json.loads((tmp_path / "s.csv.config.json").read_text())["n-trials"] == 300.0
 
 
 @pytest.mark.parametrize("settings", ["0,2pi", "nan", "0,inf", "pi/4,pi/4"])
@@ -145,30 +219,46 @@ def test_bell_run_is_reproducible_byte_for_byte(tmp_path):
     assert stream_digest(p1) == stream_digest(p2)
 
 
-def test_config_echo_reproduces_the_artifact(tmp_path):
-    first = tmp_path / "first.csv"
-    assert (
-        run(
-            [
-                "bell-run",
-                "--model", "selective",
-                "--sharpness", "2.0",
-                "--asymmetry", "0.25",
-                "--n-trials", "4000",
-                "--master-seed", "11",
-                "--out", str(first),
-            ]
-        )
-        == 0
-    )
-    config_path = tmp_path / "first.csv.config.json"
-    assert config_path.exists()
-    echoed = json.loads(config_path.read_text())
-    echoed["out"] = str(tmp_path / "second.csv")
-    rerun_config = tmp_path / "rerun.json"
-    rerun_config.write_text(json.dumps(echoed))
-    assert run(["bell-run", "--config", str(rerun_config)]) == 0
-    assert stream_digest(first) == stream_digest(tmp_path / "second.csv")
+def _echo_runs(d):
+    """command -> (a setup run or None, the command's flags), all paths under d."""
+    bell, coins = str(d / "in.csv"), str(d / "in-coins.csv")
+    selective = ["--model", "selective", "--sharpness", "2.0", "--asymmetry", "0.25"]
+    return {
+        "bell-run": (None, selective + ["--n-trials", "4000", "--master-seed", "11",
+                                        "--out", str(d / "first.csv")]),
+        "bell-analyze": (
+            ["bell-run", *selective, "--n-trials", "3000", "--out", bell],
+            ["--stream", bell, "--mode", "raw", "--report", str(d / "r.json"),
+             "--plot-data", str(d / "r.dat")],
+        ),
+        "lhv-bound": (None, ["--report", str(d / "bound.json")]),
+        "sweep": (None, ["--d-grid", "0,3", "--trials-per-point", "2000", "--master-seed", "3",
+                         "--report", str(d / "sweep.json"), "--plot-data", str(d / "sweep.dat")]),
+        "coins-run": (None, ["--experiment", "e4", "--rounds", "10", "--seed", "2",
+                             "--out", str(d / "urn.csv")]),
+        "stream-test": (
+            ["coins-run", "--experiment", "e3", "--n", "500", "--out", coins],
+            ["--stream", coins, "--tests", "runs,frequency", "--report", str(d / "t.json")],
+        ),
+        "demo": (None, ["--quick", "--out-dir", str(d / "demo"), "--seed", "2"]),
+    }
+
+
+@pytest.mark.parametrize("command", list(TABLE))  # every command needs a case above
+def test_config_echo_reproduces_the_artifact(tmp_path, command):
+    setup, flags = _echo_runs(tmp_path)[command]
+    if setup:
+        assert run(setup) == 0
+    before = set(tmp_path.rglob("*"))
+    assert run([command, *flags]) == 0
+    written = {p: p.read_bytes() for p in set(tmp_path.rglob("*")) - before if p.is_file()}
+    (echoed,) = [p for p in written if p.name.endswith(".config.json")]
+    rerun = tmp_path / "rerun.json"
+    rerun.write_bytes(written[echoed])
+    for p in written:
+        p.unlink()
+    assert run([command, "--config", str(rerun)]) == 0
+    assert {p: p.read_bytes() for p in written} == written
 
 
 def test_analyze_round_trip_matches_in_memory_counts(tmp_path, capsys):
@@ -532,6 +622,19 @@ def test_emit_plot_data_empty_results_writes_header_only(tmp_path):
     path = tmp_path / "empty.dat"
     emit_plot_data((("theta", "e"), []), path)
     assert path.read_text() == "# theta e\n"
+
+
+def test_undefined_coincidences_are_plotted_as_nan(tmp_path, capsys):
+    # Bob never clicks at the first pair, so its coincidence estimate is undefined
+    stream = tmp_path / "s.csv"
+    rows = ["0,0.0,0.5,1,0", "1,0.0,0.5,-1,0", "2,1.0,0.5,1,1", "3,1.0,0.5,-1,1"]
+    stream.write_text("\r\n".join(["trial,x_rad,y_rad,a,b", *rows, ""]))
+    assert run(["bell-analyze", "--stream", str(stream), "--plot-data", str(tmp_path / "p.dat")]) == 0
+    assert "undef" in capsys.readouterr().out
+    assert (tmp_path / "p.dat").read_text().splitlines()[1:] == [
+        "0.0 0.5 -0.5 0.0 0.0 nan nan",
+        "1.0 0.5 0.5 0.0 1.0 0.0 1.0",
+    ]
 
 
 def test_emit_plot_data_malus_curve_values(tmp_path):
