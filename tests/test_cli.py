@@ -335,6 +335,19 @@ def test_stream_and_coin_bytes_are_pinned(tmp_path):
     )
 
 
+def test_malus_stream_bytes_are_pinned(tmp_path):
+    # recorded when MalusModel kept its own survival and response functions
+    stream = tmp_path / "m.csv"
+    argv = ["bell-run", "--model", "malus", "--n-trials", "5000", "--master-seed", "12"]
+    assert run(argv + ["--schedule-seed", "8", "--out", str(stream)]) == 0
+    assert stream_digest(stream) == (
+        "29ab3e9e82de63795a5102cb968c63255ba11073af6eb52525db4db72092a56e"
+    )
+    assert stream_digest(tmp_path / "m.csv.meta.json") == (
+        "f320c919b8f8632fe6f602276c59998ee2bd77470785a12a4fdb72542f3f9a1f"
+    )
+
+
 def test_alternating_device_bytes_are_pinned(tmp_path):
     # recorded with the per-flip D2 loop
     out = tmp_path / "e2.csv"

@@ -9,6 +9,8 @@ from contextlab.models import (
     FiniteContextualModel,
     pair_expectation,
     postselected_marginal,
+    random_model,
+    shared_space_model,
 )
 from contextlab.simulate import (
     MalusModel,
@@ -360,3 +362,119 @@ def test_integral_trial_indices_of_any_dtype_are_kept():
 def test_run_experiment_validation():
     with pytest.raises(ConfigError):
         run_experiment(MalusModel(), SettingsSchedule("cycle", (0.0,), (0.0,)), 0, 1)
+
+
+# --- pinned stream bytes of every model kind ---------------------------------------
+
+
+def _pinned_model(kind):
+    rng = np.random.default_rng(2024)
+    if kind == "random":
+        return random_model(rng, n1=3, n2=4, n_inst=3)
+    if kind == "shared":
+        return shared_space_model(rng, n1=4, n2=3, n_inst=2)
+    if kind == "discretized":
+        grid = dict(n_source=24, n_alice=30, n_bob=40)
+        return discretize(SelectiveModel(2.0, 0.25), (0.0, PI / 4), (PI / 8, 3 * PI / 8), **grid)
+    if kind == "malus":
+        return MalusModel()
+    return SelectiveModel(0.0, 0.25)
+
+
+# (stream, sidecar) sha256, recorded with the pair-grouped finite branch and
+# the separate Malus survival before the model protocol replaced them
+STREAM_PINS = {
+    "random-random-7": (
+        "304fefcdbd14981a4bf14e244a5696759c9f8e48e0796060cc1f73abd0b9cba3",
+        "ea45e10d9f3813b0c4b2345f01ff71439cacbb32c052c446fdb87205524c8672",
+    ),
+    "random-random-65536": (
+        "85474b9d3cb58a6d4931c51796a26bf2a02a3404c689a32caaeeac1899d9ad14",
+        "624731b68d3025eb5ff4efb2d6f2a88194385ac8be3c0a9f7934c1a40d46e487",
+    ),
+    "random-cycle-7": (
+        "de9bdbf9af48430a98654825aff44b73f373ce98e3036351565d2d22e02ffc5f",
+        "2848a8de0004eff60c36f31a8c6fcde4bb37b4d4592ff1c45b1afdc2d5a46c88",
+    ),
+    "random-cycle-65536": (
+        "c46831067fccac9245a9b529a39576a41248d2ee3a9c1d976c52fb3ebaac7a27",
+        "fc3bc00bb4117ba59a92a727f85b5b5beb32f1654c09a8941ca01b2228f3ad65",
+    ),
+    "shared-random-7": (
+        "22a8d7b6acd96d79b44ffa93afa9d401410dcc1d8445544a0b61c47d68b15e12",
+        "3f25edf93d5f902768a4cee39f70cd3d55a128da38ba88bc2114186f5384a007",
+    ),
+    "shared-random-65536": (
+        "d88cb9a812c107eee8d52881ef0d1d4e4eb40f3e206872b8ec68b53e4ee06991",
+        "150180be1f821b55af9f27a63eac2145ce6de87bc2df7fa3269316073a26c5de",
+    ),
+    "shared-cycle-7": (
+        "80332e604441c20e20de9098eec1c8110815cd647331dab9ef8271414b8fd851",
+        "81033233ab7a3e3b0e4c31dc4b522c7d87fed1ceda7460dbfcc8f05f7799f7ae",
+    ),
+    "shared-cycle-65536": (
+        "a1e512e879e1a200f66607391fa94ef25f9ae0d326f37d80848422a51b7ad8f1",
+        "5b1b119edc98c0f4a46c9d78d6b8ca46733c2701659cccbb59b72a8bd54d03ba",
+    ),
+    "discretized-random-7": (
+        "de2cccb378cdfa8dc47cb13863363945609924373d8398987790a735d26a9e59",
+        "7fa6218500fbfc2a425bfa8d620560e9c507244b426c83ff4aacda8917b47268",
+    ),
+    "discretized-random-65536": (
+        "3a876777e3559e147253a18ab8f36961241c977d622d1a9cf0fa7e0428717fe7",
+        "921c5159883856c28f18d4e7e6b5684de5664620383c3b0243bd80ebba13bf7d",
+    ),
+    "discretized-cycle-7": (
+        "50b9f799bd778d45a0e9df9dd15e75cd4a3a9a9b6f972ae126f5760320e69d61",
+        "0c80138173a2b56f82442f0f842790ef1525e278da0a47e73663f02fa2f58b37",
+    ),
+    "discretized-cycle-65536": (
+        "bd94771724dd5652e9509bd1a97fb4f59ee5f85406be62a6bf8bc7633163d388",
+        "973be2218c710e496b9fc8c9ffc7fe414cc4b83e5cdd7c64a5aa82c788926b44",
+    ),
+    "malus-random-7": (
+        "6dd36d51dccb24b3b6f234926d44e498284ea04e2a99d1e2626f1b6b545e7e25",
+        "40cce1d99c3f9b6ae290fd5651b7ccc13a6f17b95a912ee3324c9eb373254e39",
+    ),
+    "malus-random-65536": (
+        "d11df66560bdfc308cf1c5781bfead63df418a25abf0b9d38529cd74fc6410cf",
+        "d86916a836ddb2ed8fdb952b4db071cf811cfb98a6e30977beda359224d649d2",
+    ),
+    "malus-cycle-7": (
+        "7cc6389bfe3641baa0072b7a9d703d45e1ce1f6cb722f7a0191e8ce4cbd40855",
+        "9fbf133ffad0552742c316d8211b27fc1a461bb5fe9675fbc2bcd236ab57bd8b",
+    ),
+    "malus-cycle-65536": (
+        "07c6f119fca211f0273708743e729b31429a1beb1a5081113cc3b26e9c46718c",
+        "05368788c427d8fa8cac46da62b25e003ae516ed538e0fe56f0a1899342dd38d",
+    ),
+    "selective-0-random-7": (
+        "6dd36d51dccb24b3b6f234926d44e498284ea04e2a99d1e2626f1b6b545e7e25",
+        "49cadf38240f00363eec73a5953fece36d4b2caffc7b383c85431f58e9c76290",
+    ),
+    "selective-0-random-65536": (
+        "d11df66560bdfc308cf1c5781bfead63df418a25abf0b9d38529cd74fc6410cf",
+        "39b0ab2cd579fdf6d7593dcdec5764b23a15b675906d2577b865a69f79038923",
+    ),
+    "selective-0-cycle-7": (
+        "7cc6389bfe3641baa0072b7a9d703d45e1ce1f6cb722f7a0191e8ce4cbd40855",
+        "f38c91baca31fb05ded14519300e18f27be04199eb832d34414d3ee7ab71495d",
+    ),
+    "selective-0-cycle-65536": (
+        "07c6f119fca211f0273708743e729b31429a1beb1a5081113cc3b26e9c46718c",
+        "7dfd17ed4e7c3d5e475c0630e141fc1fd17eba95289ee368c033f37ca8902cb4",
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk_size", [7, 65536])
+@pytest.mark.parametrize("mode", ["random", "cycle"])
+@pytest.mark.parametrize("kind", ["random", "shared", "discretized", "malus", "selective-0"])
+def test_stream_bytes_of_every_model_kind_are_pinned(tmp_path, kind, mode, chunk_size):
+    model = _pinned_model(kind)
+    schedule = SettingsSchedule(mode, (0.0, PI / 4), (PI / 8, 3 * PI / 8), seed=5)
+    path = tmp_path / "s.csv"
+    meta = stream_metadata(model, schedule, 3000, (11, 4), chunk_size)
+    write_stream_csv(run_experiment(model, schedule, 3000, (11, 4), chunk_size), path, meta)
+    found = (stream_digest(path), stream_digest(tmp_path / "s.csv.meta.json"))
+    assert found == STREAM_PINS[f"{kind}-{mode}-{chunk_size}"]
