@@ -28,6 +28,7 @@ FACES = ("B", "R")
 COIN_CSV_HEADER = ("trial", "outcome")
 # outcomes as two bytes, so that a longer field cannot pass as a face
 COIN_ROW = np.dtype([("trial", "i8"), ("outcome", "S2")])
+E4_BLOCK_DRAWS = 1 << 18
 
 
 def _check_n(n: int) -> None:
@@ -83,8 +84,9 @@ def e4_run(
 
     Round r takes its uniforms from `substream(seed, r, 0)`, and draw k of
     every round is blue when its uniform is below (N-m)/(2N-k), m being the
-    round's blues so far; all rounds advance together, one draw index at a
-    time.  Returns the concatenated face stream and the per-round blue counts.
+    round's blues so far; the rounds of a block of at most `E4_BLOCK_DRAWS`
+    uniforms (or one round) advance together, one draw index at a time.
+    Returns the concatenated face stream and the per-round blue counts.
     """
     if draws_per_round > 2 * N:
         raise ConfigError(
@@ -96,15 +98,20 @@ def e4_run(
         # below this every count is an exact float64, so each quotient is the
         # correctly rounded (N-m)/(2N-k) and int64 arithmetic cannot overflow
         raise ConfigError(f"N must be at most 2**52, got {N}")
-    u = np.empty((rounds, draws_per_round))
-    for r in range(rounds):
-        substream(seed, r, 0).random(out=u[r])
-    blue = np.empty(u.shape, dtype=bool)
+    faces = np.full((rounds, draws_per_round), "R")
     m = np.zeros(rounds, dtype=np.int64)
-    for k in range(draws_per_round):
-        blue[:, k] = u[:, k] < (N - m) / (2 * N - k)
-        m += blue[:, k]
-    return np.where(blue.ravel(), "B", "R"), m
+    per_block = max(1, E4_BLOCK_DRAWS // draws_per_round)
+    uniforms = np.empty((min(per_block, rounds), draws_per_round))
+    for first in range(0, rounds, per_block):
+        block = slice(first, first + per_block)
+        u = uniforms[: len(m[block])]
+        for row, r in zip(u, range(first, rounds)):
+            substream(seed, r, 0).random(out=row)
+        for k in range(draws_per_round):
+            blue = u[:, k] < (N - m[block]) / (2 * N - k)
+            m[block] += blue
+            faces[block, k][blue] = "B"
+    return faces.ravel(), m
 
 
 # ---------------------------------------------------------------------------

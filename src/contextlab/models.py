@@ -151,6 +151,8 @@ class FiniteContextualModel:
             )
         self._alice = self._build_wing(alice, n1, "alice")
         self._bob = self._build_wing(bob, n2, "bob")
+        self._cum_source = np.cumsum(self.source_dist.ravel())
+        self._cum_source[-1] = 1.0
         self._sampling_cache: dict = {}
 
     @staticmethod
@@ -198,25 +200,35 @@ class FiniteContextualModel:
                 f"Bob setting {y!r} not declared (have {self.bob_settings})"
             ) from None
 
-    # -- sampling support (used by the simulation layer) --
+    # -- the generation protocol (see `simulate`) --
 
-    def sampling_tables(self, x: float, y: float):
-        """Cumulative distributions for inverse-CDF sampling at one pair.
+    def source(self, u_src):
+        """Source value indices (i1, i2) per trial, by inverse CDF of one uniform."""
+        flat = np.searchsorted(self._cum_source, u_src, side="right")
+        return np.divmod(flat, len(self.lambda2_space))
 
-        Cached per setting pair; the final cumulative entry is pinned to 1.0
+    def sampling_tables(self, wing: int, setting: float):
+        """Instrument CDF and outcome table of wing 0 (Alice) or 1 (Bob) at one setting.
+
+        Cached per (wing, setting); the final cumulative entry is pinned to 1.0
         so uniform draws in [0, 1) always land inside the table.
         """
-        key = (normalize_angle(x), normalize_angle(y))
+        key = (wing, normalize_angle(setting))
         if key not in self._sampling_cache:
-            at, bt = self.alice_tables(x), self.bob_tables(y)
-            cum_source = np.cumsum(self.source_dist.ravel())
-            cum_source[-1] = 1.0
-            cum_a = np.cumsum(at.dist)
-            cum_a[-1] = 1.0
-            cum_b = np.cumsum(bt.dist)
-            cum_b[-1] = 1.0
-            self._sampling_cache[key] = (cum_source, cum_a, cum_b, at.outcome, bt.outcome)
+            tables = (self.alice_tables, self.bob_tables)[wing](setting)
+            cum = np.cumsum(tables.dist)
+            cum[-1] = 1.0
+            self._sampling_cache[key] = (cum, tables.outcome)
         return self._sampling_cache[key]
+
+    def outcomes(self, wing: int, src, settings, index, u) -> np.ndarray:
+        """One wing's outcomes, trials grouped by that wing's own setting."""
+        out = np.empty(len(index), dtype=np.int8)
+        for k in np.unique(index):
+            rows = np.nonzero(index == k)[0]
+            cum, outcome = self.sampling_tables(wing, settings[k])
+            out[rows] = outcome[src[rows], np.searchsorted(cum, u[rows], side="right")]
+        return out
 
     def descriptor(self) -> dict:
         """Compact identifying summary for stream metadata."""

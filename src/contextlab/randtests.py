@@ -63,32 +63,24 @@ class TestReport:
         return asdict(self)
 
 
-def encode_binary(stream, success=None) -> np.ndarray:
-    """Coerce a two-symbol sequence to a uint8 array of indicators.
+def encode_binary(stream) -> np.ndarray:
+    """Coerce a two-symbol sequence to a uint8 array of success indicators.
 
-    `success` picks the symbol mapped to 1; defaults: 'B' for coin streams,
-    the larger value for numeric streams.
+    The alphabet fixes the success symbol: True for booleans, 1 for 0/1 and
+    -1/+1 streams, 'B' for the coin faces 'B'/'R', so a one-symbol stream
+    keeps its meaning.  Any other alphabet, -1/0 included, is refused.
     """
     arr = np.asarray(stream)
     if arr.size == 0:
         raise InsufficientDataError("empty stream")
     if arr.dtype == bool:
         return arr.astype(np.uint8)
-    if arr.dtype.kind in "iuf":
-        values = set(np.unique(arr).tolist())
-        if not values <= {-1, 0, 1}:
-            raise InsufficientDataError(f"not a two-symbol stream: values {sorted(values)}")
-        if values <= {0, 1}:
-            one = 1 if success is None else success
-        else:
-            one = (max(values) if success is None else success)
-        return (arr == one).astype(np.uint8)
-    symbols = sorted(set(arr.tolist()))
-    if len(symbols) > 2:
-        raise InsufficientDataError(f"not a two-symbol stream: symbols {symbols}")
-    if success is None:
-        success = "B" if "B" in symbols else symbols[0]
-    return (arr == success).astype(np.uint8)
+    values = set(np.unique(arr).tolist())
+    if arr.dtype.kind in "iuf" and (values <= {0, 1} or values <= {-1, 1}):
+        return (arr == 1).astype(np.uint8)
+    if arr.dtype.kind not in "iuf" and values <= {"B", "R"}:
+        return (arr == "B").astype(np.uint8)
+    raise InsufficientDataError(f"not a two-symbol stream: symbols {sorted(values)}")
 
 
 def ternary_to_indicators(values) -> dict[int, np.ndarray]:
@@ -169,14 +161,14 @@ def _exact_runs_p_value(n1: int, n2: int, r_obs: int) -> float:
     return min(1.0, 2.0 * min(lower, upper))
 
 
-def runs_test(stream, alpha: float = 0.01, success=None) -> TestReport:
+def runs_test(stream, alpha: float = 0.01) -> TestReport:
     """Wald-Wolfowitz runs test for serial dependence.
 
     Uses the normal approximation from n >= 20 and the exact run-count
     distribution below; a single-symbol stream is rejected outright with an
     exact p-value of 0.
     """
-    bits = encode_binary(stream, success)
+    bits = encode_binary(stream)
     n = len(bits)
     n1 = int(bits.sum())
     n2 = n - n1
@@ -215,11 +207,11 @@ def runs_test(stream, alpha: float = 0.01, success=None) -> TestReport:
 # ---------------------------------------------------------------------------
 
 
-def frequency_test(stream, p0: float = 0.5, alpha: float = 0.01, success=None) -> TestReport:
+def frequency_test(stream, p0: float = 0.5, alpha: float = 0.01) -> TestReport:
     """Two-sided test of the success frequency against p0."""
     if not 0.0 < p0 < 1.0:
         raise InsufficientDataError(f"p0 must be inside (0, 1), got {p0}")
-    bits = encode_binary(stream, success)
+    bits = encode_binary(stream)
     n = len(bits)
     k = int(bits.sum())
     if n < FREQUENCY_NORMAL_CUTOFF:
@@ -245,7 +237,7 @@ def frequency_test(stream, p0: float = 0.5, alpha: float = 0.01, success=None) -
 # ---------------------------------------------------------------------------
 
 
-def block_variance_test(stream, block_size: int, alpha: float = 0.01, success=None) -> TestReport:
+def block_variance_test(stream, block_size: int, alpha: float = 0.01) -> TestReport:
     """Dispersion of per-block counts against the Bernoulli expectation.
 
     The statistic sum (c_i - B*p)^2 / (B*p*(1-p)) over m complete blocks is
@@ -253,7 +245,7 @@ def block_variance_test(stream, block_size: int, alpha: float = 0.01, success=No
     two-sided p-value catches under-dispersion (without-replacement draws) as
     well as over-dispersion (mixtures).
     """
-    bits = encode_binary(stream, success)
+    bits = encode_binary(stream)
     if block_size < 1:
         raise InsufficientDataError("block_size must be >= 1")
     m = len(bits) // block_size
@@ -294,11 +286,11 @@ def block_variance_test(stream, block_size: int, alpha: float = 0.01, success=No
 # ---------------------------------------------------------------------------
 
 
-def homogeneity_test_groups(groups: Sequence, alpha: float = 0.01, success=None) -> TestReport:
+def homogeneity_test_groups(groups: Sequence, alpha: float = 0.01) -> TestReport:
     """Chi-square equality of success frequencies across explicit groups."""
     if len(groups) < 2:
         raise InsufficientDataError("need at least two groups")
-    encoded = [encode_binary(g, success) for g in groups]
+    encoded = [encode_binary(g) for g in groups]
     if min(len(g) for g in encoded) < MIN_SUBSAMPLE:
         raise InsufficientDataError(f"every group needs >= {MIN_SUBSAMPLE} entries")
     table = np.array([[int(g.sum()), int(len(g) - g.sum())] for g in encoded])
@@ -317,11 +309,11 @@ def homogeneity_test_groups(groups: Sequence, alpha: float = 0.01, success=None)
     )
 
 
-def homogeneity_test(stream, n_subsamples: int, alpha: float = 0.01, success=None) -> TestReport:
+def homogeneity_test(stream, n_subsamples: int, alpha: float = 0.01) -> TestReport:
     """Split into consecutive sub-samples and compare their frequencies."""
     if n_subsamples < 2:
         raise InsufficientDataError("n_subsamples must be >= 2")
-    bits = encode_binary(stream, success)
+    bits = encode_binary(stream)
     size = len(bits) // n_subsamples
     if size < MIN_SUBSAMPLE:
         raise InsufficientDataError(
@@ -344,11 +336,11 @@ def _lag_product(bits: np.ndarray, k: int) -> int:
     return n * n * both - n * ones * (h + t) + ones * ones * (n - k)
 
 
-def autocorrelation_test(stream, max_lag: int, alpha: float = 0.01, success=None) -> TestReport:
+def autocorrelation_test(stream, max_lag: int, alpha: float = 0.01) -> TestReport:
     """Exact sample autocorrelations, rounded once, and their Ljung-Box statistic."""
     if max_lag < 1:
         raise InsufficientDataError("max_lag must be >= 1")
-    bits = encode_binary(stream, success)
+    bits = encode_binary(stream)
     n = len(bits)
     if n < 100 * max_lag:
         raise InsufficientDataError(f"need n >= {100 * max_lag}, have {n}")

@@ -1,25 +1,29 @@
 """Event-by-event click streams from contextual models.
 
-The generation contract: for every trial the settings are drawn first (from
-the schedule's own seed), then the source pair (lambda1, lambda2), then one
-instrument uniform per wing.  Alice's outcome is a function of
-(lambda1, lambda_x, x) only and Bob's of (lambda2, lambda_y, y) only, so
-replaying the hidden-variable streams under a different counterpart setting
-never changes a wing's outcome sequence.  Trials are generated in fixed-size
-chunks with per-chunk derived substreams; the chunk size is part of the
-reproducibility contract and is recorded in the stream metadata.
+The generation contract is a protocol that every model kind implements:
+`source(u_src)` maps one source uniform per trial to the source pair
+(lambda1, lambda2), and `outcomes(wing, src, settings, index, u)` gives one
+wing's outcomes (wing 0 is Alice, 1 is Bob) from that wing's source values,
+its own setting list, each trial's index into it and one instrument uniform
+per trial.  Per chunk the settings are drawn first (from the schedule's own
+seed), then one source, one Alice and one Bob uniform per trial whatever the
+model or the outcomes.  No code that computes one wing's outcomes sees the
+other wing's setting, source value or uniform, so replaying the
+hidden-variable streams under a different counterpart setting never changes
+a wing's outcome sequence.  Trials are generated in fixed-size chunks with
+per-chunk derived substreams; the chunk size is part of the reproducibility
+contract and is recorded in the stream metadata.
 
-Two continuous reference models are provided.  `MalusModel` is the classical
-cosine-squared response: the source draws a polarization angle phi uniformly
-on [0, pi) and hands lambda1 = phi to Alice and lambda2 = phi + pi/2 to Bob;
-a wing at setting s with instrument uniform u registers +1 when
-u < cos^2(lambda - s) and -1 otherwise.  Its raw correlation is
--cos(2(x-y))/2.  `SelectiveModel` adds wing-local non-detection: with
-survival probability sp = (|cos 2(lambda-s)| * |cos(lambda-s)|^asymmetry)
-** sharpness the instrument uniform is partitioned into +1 on [0, sp*c),
--1 on [sp*c, sp) and 0 (no click) on [sp, 1), where c is the cosine-squared
-response.  Rejection is independent of the would-be outcome, and
-sharpness = 0 reduces bit-exactly to `MalusModel`.
+Two continuous reference models are provided.  `SelectiveModel` is the
+cosine-squared response with wing-local non-detection: the source draws a
+polarization angle phi uniformly on [0, pi) and hands lambda1 = phi to Alice
+and lambda2 = phi + pi/2 to Bob.  A wing at setting s survives with
+probability sp = (|cos 2(lambda-s)| * |cos(lambda-s)|^asymmetry) ** sharpness,
+and its instrument uniform is partitioned into +1 on [0, sp*c), -1 on
+[sp*c, sp) and 0 (no click) on [sp, 1), where c = cos^2(lambda - s);
+rejection is independent of the would-be outcome.  `MalusModel` is
+`SelectiveModel` at sharpness 0: every trial clicks, and the raw correlation
+is -cos(2(x-y))/2.
 """
 
 from __future__ import annotations
@@ -52,22 +56,8 @@ STREAM_ROW = np.dtype(list(zip(CSV_HEADER, ("i8", "f8", "f8", "i1", "i1"))))
 
 
 @dataclass(frozen=True)
-class MalusModel:
-    """Cosine-squared response model; every trial produces a click."""
-
-    def survival(self, delta):
-        return np.ones_like(np.asarray(delta, dtype=float))
-
-    def plus_probability(self, delta):
-        return np.cos(np.asarray(delta, dtype=float)) ** 2
-
-    def descriptor(self) -> dict:
-        return {"kind": "malus"}
-
-
-@dataclass(frozen=True)
 class SelectiveModel:
-    """MalusModel with wing-local non-detection.
+    """Cosine-squared response with wing-local non-detection.
 
     `sharpness` >= 0 steers how strongly surviving events concentrate near
     instrument alignment; 0 disables rejection entirely.  `asymmetry` >= 0
@@ -86,13 +76,18 @@ class SelectiveModel:
 
     def survival(self, delta):
         delta = np.asarray(delta, dtype=float)
+        if self.sharpness == 0.0:  # x ** 0.0 == 1.0 for every float, nan included
+            return np.ones_like(delta)
         base = np.abs(np.cos(2.0 * delta))
         if self.asymmetry != 0.0:
             base = base * np.abs(np.cos(delta)) ** self.asymmetry
         return base ** self.sharpness
 
-    def plus_probability(self, delta):
-        return np.cos(np.asarray(delta, dtype=float)) ** 2
+    def source(self, u_src):
+        return source_angles(u_src * math.pi)
+
+    def outcomes(self, wing, src, settings, index, u):
+        return wing_outcome(self, src, settings[index], u)
 
     def descriptor(self) -> dict:
         return {
@@ -102,16 +97,25 @@ class SelectiveModel:
         }
 
 
+class MalusModel(SelectiveModel):
+    """`SelectiveModel` at sharpness 0: the bare cosine-squared response, no rejection."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
+    def descriptor(self) -> dict:
+        return {"kind": "malus"}
+
+
 def wing_outcome(model, lam, setting, u) -> np.ndarray:
     """Outcome of one wing given hidden angle(s), setting(s) and uniform(s).
 
     The single instrument uniform encodes both the click/no-click decision and
     the sign: +1 on [0, sp*c), -1 on [sp*c, sp), 0 on [sp, 1).
     """
-    lam = np.asarray(lam, dtype=float)
-    delta = lam - np.asarray(setting, dtype=float)
+    delta = np.asarray(lam, dtype=float) - np.asarray(setting, dtype=float)
     sp = model.survival(delta)
-    c = model.plus_probability(delta)
+    c = np.cos(delta) ** 2
     u = np.asarray(u, dtype=float)
     return np.where(u < sp * c, 1, np.where(u < sp, -1, 0)).astype(np.int8)
 
@@ -272,30 +276,6 @@ class SettingsSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_outcomes(model, xs, ys, xi, yi, u_src, u_a, u_b):
-    """Outcomes of one chunk; every trial consumes one source, one Alice and
-    one Bob uniform whatever the model, the settings or the outcomes."""
-    if isinstance(model, FiniteContextualModel):
-        a = np.empty(len(xi), dtype=np.int8)
-        b = np.empty(len(xi), dtype=np.int8)
-        n2 = model.source_dist.shape[1]
-        # group trials by setting pair; the uniforms are already per-trial
-        pair_code = xi * len(ys) + yi
-        for code in np.unique(pair_code):
-            idx = np.nonzero(pair_code == code)[0]
-            x, y = xs[code // len(ys)], ys[code % len(ys)]
-            cum_source, cum_a, cum_b, a_out, b_out = model.sampling_tables(x, y)
-            flat = np.searchsorted(cum_source, u_src[idx], side="right")
-            i, j = flat // n2, flat % n2
-            k = np.searchsorted(cum_a, u_a[idx], side="right")
-            l = np.searchsorted(cum_b, u_b[idx], side="right")
-            a[idx] = a_out[i, k]
-            b[idx] = b_out[j, l]
-        return a, b
-    lam1, lam2 = source_angles(u_src * math.pi)
-    return wing_outcome(model, lam1, xs[xi], u_a), wing_outcome(model, lam2, ys[yi], u_b)
-
-
 def _chunks(model, schedule: SettingsSchedule, n_trials: int, master_seed, chunk_size: int):
     """Yield `(xi, yi, a, b)` per chunk: schedule setting indices and outcomes."""
     if n_trials < 1:
@@ -307,11 +287,15 @@ def _chunks(model, schedule: SettingsSchedule, n_trials: int, master_seed, chunk
     for chunk_index, start in enumerate(range(0, n_trials, chunk_size)):
         count = min(chunk_size, n_trials - start)
         xi, yi = schedule.indices(start, count, chunk_index)
-        uniforms = (
+        u_src, u_a, u_b = (
             substream(master_seed, chunk_index, stream_id).random(count)
             for stream_id in (STREAM_SOURCE, STREAM_ALICE, STREAM_BOB)
         )
-        yield (xi, yi, *_chunk_outcomes(model, xs, ys, xi, yi, *uniforms))
+        lam1, lam2 = model.source(u_src)
+        a = model.outcomes(0, lam1, xs, xi, u_a)
+        b = model.outcomes(1, lam2, ys, yi, u_b)
+        del u_src, u_a, u_b, lam1, lam2  # a generator's locals outlive its yield
+        yield xi, yi, a, b
 
 
 def run_experiment(

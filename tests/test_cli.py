@@ -348,6 +348,18 @@ def test_malus_stream_bytes_are_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize("face, count", [("B", 0), ("R", 1000)])
+def test_stream_test_counts_blue_in_a_one_face_coin_stream(tmp_path, face, count):
+    # D1 turns every inserted face into the other one
+    out, report = tmp_path / "d1.csv", tmp_path / "t.json"
+    coins = ["coins-run", "--experiment", "e1", "--input-face", face, "--n", "1000"]
+    assert run(coins + ["--out", str(out)]) == 0
+    tests = ["stream-test", "--stream", str(out), "--kind", "coins", "--tests", "frequency"]
+    assert run(tests + ["--report", str(report)]) == 0
+    details = json.loads(report.read_text())["tests"][0]["details"]
+    assert details == {"count": count, "frequency": count / 1000, "p0": 0.5}
+
+
 def test_alternating_device_bytes_are_pinned(tmp_path):
     # recorded with the per-flip D2 loop
     out = tmp_path / "e2.csv"

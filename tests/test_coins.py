@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from contextlab import coins
 from contextlab.coins import (
     BoxEnsemble,
     box_run,
@@ -83,6 +86,34 @@ def test_e4_run_equals_the_per_draw_reference_loop(N, data, rounds, seed):
     want_faces, want_counts = reference_e4_run(N, draws_per_round, rounds, seed)
     assert_same_array(faces, want_faces)
     assert_same_array(blue_counts, want_counts)
+
+
+@PROPERTY
+@given(st.integers(1, 20), st.data(), st.integers(1, 30), SEEDS)
+def test_e4_run_in_blocks_equals_the_per_draw_reference_loop(N, data, rounds, seed):
+    draws_per_round = data.draw(st.integers(1, 2 * N), label="draws_per_round")
+    block = data.draw(st.integers(1, rounds * draws_per_round), label="block_draws")
+    with mock.patch.object(coins, "E4_BLOCK_DRAWS", block):
+        faces, blue_counts = e4_run(N, draws_per_round, rounds, seed)
+    want_faces, want_counts = reference_e4_run(N, draws_per_round, rounds, seed)
+    assert_same_array(faces, want_faces)
+    assert_same_array(blue_counts, want_counts)
+
+
+def test_e4_run_memory_beyond_its_output_stays_bounded_as_rounds_grow():
+    def overhead(rounds):
+        tracemalloc.start()
+        try:
+            faces, blue_counts = e4_run(500, 1000, rounds, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - faces.nbytes - blue_counts.nbytes
+
+    overhead(1)  # first-call allocations are not the urn's
+    small, large = overhead(300), overhead(2400)
+    # one float64 uniform per draw held at once would add 8 bytes per extra draw
+    assert large - small < 0.5 * (2400 - 300) * 1000
 
 
 @PROPERTY

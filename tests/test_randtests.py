@@ -46,6 +46,38 @@ def test_encode_binary_rejects_three_symbols():
         encode_binary(np.array(["a", "b", "c"]))
 
 
+@pytest.mark.parametrize(
+    "stream, bits",
+    [
+        (["R"] * 4, [0] * 4),
+        (["B"] * 4, [1] * 4),
+        ([-1] * 4, [0] * 4),
+        ([1] * 4, [1] * 4),
+        ([0] * 4, [0] * 4),
+        ([0.0, 1.0], [0, 1]),
+        ([False] * 4, [0] * 4),
+    ],
+)
+def test_one_symbol_streams_keep_their_success_symbol(stream, bits):
+    assert encode_binary(np.array(stream)).tolist() == bits
+
+
+@pytest.mark.parametrize(
+    "stream", [[-1, 0, 1], [-1, 0], [0, 2], [0.5, 1.0], ["B", "X"], ["a", "b"], [math.nan]]
+)
+def test_encode_binary_refuses_other_alphabets(stream):
+    with pytest.raises(InsufficientDataError):
+        encode_binary(np.array(stream))
+
+
+def test_all_red_and_all_blue_streams_are_told_apart():
+    red, blue = np.full(100, "R"), np.full(100, "B")
+    assert frequency_test(red).details == {"count": 0, "frequency": 0.0, "p0": 0.5}
+    assert frequency_test(blue).details == {"count": 100, "frequency": 1.0, "p0": 0.5}
+    report = homogeneity_test_groups([red, blue])
+    assert report.details["frequencies"] == [0.0, 1.0] and report.reject
+
+
 def test_ternary_indicators_partition_the_stream():
     values = np.array([-1, 0, 1, 1, 0, -1])
     ind = ternary_to_indicators(values)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from contextlab.errors import ConfigError, StreamFormatError
@@ -184,6 +186,68 @@ def test_changing_bob_setting_never_moves_alice_outcomes():
     moved = run_experiment(model, SettingsSchedule("cycle", (0.3,), (2.1,)), 5000, 77)
     assert np.array_equal(base.a, moved.a)
     assert not np.array_equal(base.b, moved.b)
+
+
+def _wing_tables(seed, settings, n_source):
+    rng = np.random.default_rng(seed)
+    tables = {}
+    for s in settings:
+        n_inst = int(rng.integers(1, 4))
+        dist = rng.random(n_inst) + 0.05
+        outcome = rng.choice((-1, 0, 1), size=(n_source, n_inst))
+        tables[s] = (tuple(range(n_inst)), dist / math.fsum(dist), outcome)
+    return tables
+
+
+def _setting_list(size):
+    # multiples of 0.1 below 2*pi are distinct mod 2*pi
+    return st.lists(st.integers(0, 62), min_size=size, max_size=size, unique=True).map(
+        lambda ks: tuple(k / 10 for k in ks)
+    )
+
+
+@settings(
+    max_examples=60, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["finite", "selective"]),
+    mode=st.sampled_from(["random", "cycle"]),
+    replaced=st.sampled_from(["A", "B"]),
+    n_trials=st.integers(1, 400),
+    chunk_size=st.integers(1, 150),
+    seed=st.integers(0, 2**32),
+)
+def test_a_wing_column_is_blind_to_the_other_wing(
+    data, kind, mode, replaced, n_trials, chunk_size, seed
+):
+    """Replay the hidden-variable streams with one wing's settings or tables replaced."""
+    lists = {wing: data.draw(_setting_list(data.draw(st.integers(1, 3)))) for wing in "AB"}
+    table_seeds = {"A": seed + 1, "B": seed + 2}
+    n1, n2 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    d, eta = data.draw(st.floats(0, 6)), data.draw(st.floats(0, 2))
+
+    def replay():
+        if kind == "finite":
+            raw = np.random.default_rng(seed).random((n1, n2)) + 0.05
+            source = raw / math.fsum(raw.flat)
+            alice = _wing_tables(table_seeds["A"], lists["A"], n1)
+            bob = _wing_tables(table_seeds["B"], lists["B"], n2)
+            model = FiniteContextualModel(range(n1), range(n2), source, alice, bob)
+        else:
+            model = SelectiveModel(d, eta)
+        schedule = SettingsSchedule(mode, lists["A"], lists["B"], seed=seed % 1000)
+        return run_experiment(model, schedule, n_trials, seed, chunk_size)
+
+    before = replay()
+    # the replaced wing gets a new setting list or, for finite models, new tables
+    if kind == "finite" and data.draw(st.booleans(), label="new tables"):
+        table_seeds[replaced] += 2
+    else:
+        lists[replaced] = data.draw(_setting_list(len(lists[replaced])))
+    after = replay()
+    kept = "b" if replaced == "A" else "a"
+    assert np.array_equal(getattr(before, kept), getattr(after, kept))
 
 
 def test_settings_sequence_ignores_hidden_variable_seed():
