@@ -295,10 +295,10 @@ def model_curves(model, x: float, y: float, n_points: int = 200_001) -> dict:
     phi = _midpoint_phi(n_points)
     da = phi - x
     db = phi + math.pi / 2 - y
-    sa = model.survival(da)
-    sb = model.survival(db)
     ca = np.cos(2.0 * da)
     cb = np.cos(2.0 * db)
+    sa = model._survival(da, cos2=ca)
+    sb = model._survival(db, cos2=cb)
     w = sa * sb
     total = float(np.sum(w))
     rate = total / n_points

@@ -75,7 +75,10 @@ def encode_binary(stream) -> np.ndarray:
         raise InsufficientDataError("empty stream")
     if arr.dtype == bool:
         return arr.astype(np.uint8)
-    values = set(np.unique(arr).tolist())
+    try:
+        values = set(np.unique(arr).tolist())
+    except TypeError:  # an object array whose symbols do not compare
+        raise InsufficientDataError("not a two-symbol stream: mixed symbol types") from None
     if arr.dtype.kind in "iuf" and (values <= {0, 1} or values <= {-1, 1}):
         return (arr == 1).astype(np.uint8)
     if arr.dtype.kind not in "iuf" and values <= {"B", "R"}:

@@ -21,7 +21,9 @@ and lambda2 = phi + pi/2 to Bob.  A wing at setting s survives with
 probability sp = (|cos 2(lambda-s)| * |cos(lambda-s)|^asymmetry) ** sharpness,
 and its instrument uniform is partitioned into +1 on [0, sp*c), -1 on
 [sp*c, sp) and 0 (no click) on [sp, 1), where c = cos^2(lambda - s);
-rejection is independent of the would-be outcome.  `MalusModel` is
+rejection is independent of the would-be outcome.  `wing_outcome` forms
+cos(lambda - s) once per wing for both the survival's |cos|^asymmetry factor
+and c, and gives the outcomes as int8 directly.  `MalusModel` is
 `SelectiveModel` at sharpness 0: every trial clicks, and the raw correlation
 is -cos(2(x-y))/2.
 """
@@ -75,13 +77,16 @@ class SelectiveModel:
                 raise ConfigError(f"{name} must be a finite number >= 0")
 
     def survival(self, delta):
-        delta = np.asarray(delta, dtype=float)
+        return self._survival(np.asarray(delta, dtype=float))
+
+    def _survival(self, delta, cos=None, cos2=None):
+        """`survival` of a float array, reusing a caller's np.cos(delta) or np.cos(2.0 * delta)."""
         if self.sharpness == 0.0:  # x ** 0.0 == 1.0 for every float, nan included
             return np.ones_like(delta)
-        base = np.abs(np.cos(2.0 * delta))
+        base = np.abs(np.cos(2.0 * delta) if cos2 is None else cos2)
         if self.asymmetry != 0.0:
-            base = base * np.abs(np.cos(delta)) ** self.asymmetry
-        return base ** self.sharpness
+            base = base * np.abs(np.cos(delta) if cos is None else cos) ** self.asymmetry
+        return base ** self.sharpness  # not np.power, which skips the sqrt/square fast paths
 
     def source(self, u_src):
         return source_angles(u_src * math.pi)
@@ -111,13 +116,15 @@ def wing_outcome(model, lam, setting, u) -> np.ndarray:
     """Outcome of one wing given hidden angle(s), setting(s) and uniform(s).
 
     The single instrument uniform encodes both the click/no-click decision and
-    the sign: +1 on [0, sp*c), -1 on [sp*c, sp), 0 on [sp, 1).
+    the sign: +1 on [0, sp*c), -1 on [sp*c, sp), 0 on [sp, 1).  The int8
+    outcome is 2*[u < sp*c] - [u < sp], exact because the rounded sp*c <= sp
+    (c <= 1, sp >= 0); a nan delta gives 0.
     """
     delta = np.asarray(lam, dtype=float) - np.asarray(setting, dtype=float)
-    sp = model.survival(delta)
-    c = np.cos(delta) ** 2
+    cos = np.cos(delta)
+    sp = model._survival(delta, cos)
     u = np.asarray(u, dtype=float)
-    return np.where(u < sp * c, 1, np.where(u < sp, -1, 0)).astype(np.int8)
+    return 2 * (u < sp * cos**2).view(np.int8) - (u < sp).view(np.int8)
 
 
 def source_angles(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -63,7 +63,11 @@ def test_one_symbol_streams_keep_their_success_symbol(stream, bits):
 
 
 @pytest.mark.parametrize(
-    "stream", [[-1, 0, 1], [-1, 0], [0, 2], [0.5, 1.0], ["B", "X"], ["a", "b"], [math.nan]]
+    "stream",
+    [
+        [-1, 0, 1], [-1, 0], [0, 2], [0.5, 1.0], ["B", "X"], ["a", "b"], [math.nan],
+        np.array(["B", 1], dtype=object),  # np.unique cannot sort these: no TypeError escapes
+    ],
 )
 def test_encode_binary_refuses_other_alphabets(stream):
     with pytest.raises(InsufficientDataError):

@@ -281,6 +281,55 @@ def test_selective_rejection_probability_tracks_survival_law():
     assert abs(np.mean(out == 1) - survival * math.cos(delta) ** 2) < 1e-4
 
 
+def reference_thresholds(model, delta):
+    """sp*c and sp as the kernel formed them before np.cos(delta) was shared."""
+    if model.sharpness == 0.0:
+        sp = np.ones_like(delta)
+    else:
+        base = np.abs(np.cos(2.0 * delta))
+        if model.asymmetry != 0.0:
+            base = base * np.abs(np.cos(delta)) ** model.asymmetry
+        sp = base ** model.sharpness
+    return sp * np.cos(delta) ** 2, sp
+
+
+def reference_wing_outcome(model, lam, setting, u):
+    """The int64 `np.where` kernel that `wing_outcome` replaced."""
+    lo, hi = reference_thresholds(model, np.asarray(lam, dtype=float) - np.asarray(setting))
+    u = np.asarray(u, dtype=float)
+    return np.where(u < lo, 1, np.where(u < hi, -1, 0)).astype(np.int8)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    data=st.data(),
+    sharpness=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(0, 6),
+    asymmetry=st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0, 6),
+    grid=st.booleans(),
+)
+def test_wing_outcome_is_the_reference_kernel_bit_for_bit(data, sharpness, asymmetry, grid):
+    model = SelectiveModel(sharpness, asymmetry)
+    angle = st.floats(-10, 10) | st.just(math.nan)
+    lam = np.array(data.draw(st.lists(angle, min_size=1, max_size=20)))
+    n = len(lam)
+    # discretize's shape is one scalar setting against lam[:, None] and u[None, :];
+    # the trial kernel's is one setting per trial
+    setting = data.draw(angle) if grid else np.array(data.draw(st.lists(angle, min_size=n, max_size=n)))
+    lo, hi = reference_thresholds(model, lam - setting)
+    u = []
+    for j in range(data.draw(st.integers(1, 20)) if grid else n):
+        i = data.draw(st.integers(0, n - 1)) if grid else j
+        # a fresh uniform, or one exactly on sp*c or sp of a trial it meets
+        u.append(data.draw(st.floats(0, 1, exclude_max=True) | st.sampled_from([lo[i], hi[i]])))
+    u = np.array(u)
+    if grid:
+        lam, u = lam[:, None], u[None, :]
+    out = wing_outcome(model, lam, setting, u)
+    expected = reference_wing_outcome(model, lam, setting, u)
+    assert out.dtype == np.int8 and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+
+
 @pytest.mark.parametrize(
     "sharpness, asymmetry",
     [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)],
