@@ -17,9 +17,8 @@ import numpy as np
 
 from contextlab.models import (
     FiniteContextualModel,
-    alice_marginal,
-    bob_marginal,
     coincidence_expectation,
+    marginal,
     pair_expectation,
     postselected_marginal,
     random_model,
@@ -50,11 +49,13 @@ for x in (X0, X1):
     for y in (Y0, Y1):
         print(f"  x={x:.4f}  y={y:.4f}  E = {pair_expectation(model, x, y):+.6f}")
 
+# A wing is named by its index: 0 is Alice (outcome A, setting x), 1 is Bob
+# (outcome B, setting y).
 print("\nraw single-wing expectations (no reference to the other wing):")
 for x in (X0, X1):
-    print(f"  E(A | x={x:.4f}) = {alice_marginal(model, x):+.6f}")
+    print(f"  E(A | x={x:.4f}) = {marginal(model, 0, x):+.6f}")
 for y in (Y0, Y1):
-    print(f"  E(B | y={y:.4f}) = {bob_marginal(model, y):+.6f}")
+    print(f"  E(B | y={y:.4f}) = {marginal(model, 1, y):+.6f}")
 
 # Swap Bob's tables for something entirely different: Alice's marginals are
 # bit-identical, not merely close.
@@ -63,12 +64,12 @@ swapped = FiniteContextualModel(
     model.lambda1_space,
     model.lambda2_space,
     model.source_dist,
-    {x: model.alice_tables(x) for x in (X0, X1)},
-    {y: other.bob_tables(y) for y in other.bob_settings},
+    {x: model.tables(0, x) for x in (X0, X1)},
+    {y: other.tables(1, y) for y in other.bob_settings},
 )
 print("\nafter replacing every Bob table:")
 for x in (X0, X1):
-    same = alice_marginal(swapped, x) == alice_marginal(model, x)
+    same = marginal(swapped, 0, x) == marginal(model, 0, x)
     print(f"  E(A | x={x:.4f}) unchanged bit-for-bit: {same}")
 
 # Conditioning on both wings clicking is another story: the reweighting by
@@ -78,6 +79,6 @@ for x in (X0, X1):
 print("\ncoincidence-conditioned quantities (Bob's second setting has dark cells):")
 for y in (Y0, Y1):
     e_c = coincidence_expectation(model, X0, y)
-    m_a = postselected_marginal(model, X0, y, "A")
+    m_a = postselected_marginal(model, X0, y, 0)
     print(f"  y={y:.4f}:  E(AB | both clicked) = {e_c:+.6f}   E(A | both clicked) = {m_a:+.6f}")
-print("\nraw E(A | x=0) for comparison:", f"{alice_marginal(model, X0):+.6f}")
+print("\nraw E(A | x=0) for comparison:", f"{marginal(model, 0, X0):+.6f}")

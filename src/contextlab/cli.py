@@ -209,7 +209,7 @@ def merge_config(name: str, args: argparse.Namespace) -> tuple[dict, dict]:
     config = {key: field.default for key, field in fields.items()}
     try:
         file_config = {} if args.config is None else json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(file_config, dict):
         raise ConfigError(f"config {args.config} must hold a JSON object")

@@ -13,6 +13,8 @@ class ModelValidationError(ContextLabError, ValueError):
 class UnknownSettingError(ContextLabError, KeyError):
     """A requested measurement setting is not declared by the model."""
 
+    __str__ = Exception.__str__  # the message as written, not quoted like a key
+
 
 class UndefinedConditionalError(ContextLabError, ArithmeticError):
     """A conditional expectation was requested but the conditioning event has

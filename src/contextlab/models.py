@@ -1,19 +1,19 @@
 """Finite contextual hidden-variable models and their exact expectations.
 
 A model couples a two-sided source with per-setting instrument variables:
-the source emits a pair (lambda1, lambda2) with joint distribution P, wing A
-at setting x carries its own instrument variable lambda_x with distribution
-P_x, and the registered outcome is A_x(lambda1, lambda_x) in {-1, 0, +1}
-(0 means no detection).  Wing B mirrors this with lambda_y, P_y and
-B_y(lambda2, lambda_y).  The parameter space is setting-pair specific: the
-pair expectation sums A_x * B_y * P_x * P_y * P over
-Lambda1 x Lambda2 x Lambda_x x Lambda_y, and single-wing marginals sum the
-same factors with the other wing removed.  Because A never references
-lambda_y and B never references lambda_x, the sums are evaluated as a
-factored contraction: per-source-value instrument reductions first, then the
-source contraction.  All reductions use math.fsum, which rounds the exact sum
-of its terms once, so results are deterministic bit-for-bit whatever the
-order of the terms.
+the source emits a pair (lambda1, lambda2) with joint distribution P, wing 0
+(Alice) at setting x carries its own instrument variable lambda_x with
+distribution P_x, and the registered outcome is A_x(lambda1, lambda_x) in
+{-1, 0, +1} (0 means no detection).  Wing 1 (Bob) mirrors this with lambda_y,
+P_y and B_y(lambda2, lambda_y); every per-wing function takes the wing index.
+The parameter space is setting-pair specific: the pair expectation sums
+A_x * B_y * P_x * P_y * P over Lambda1 x Lambda2 x Lambda_x x Lambda_y, and
+single-wing marginals sum the same factors with the other wing removed.
+Because A never references lambda_y and B never references lambda_x, the sums
+are evaluated as a factored contraction: per-source-value instrument
+reductions first, then the source contraction.  All reductions use math.fsum,
+which rounds the exact sum of its terms once, so results are deterministic
+bit-for-bit whatever the order of the terms.
 
 Probability tables are validated against a 1e-12 normalization tolerance and
 then renormalized so that their compensated float sum is exactly 1.0; this
@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +41,8 @@ TWO_PI = 2.0 * math.pi
 PROB_TOLERANCE = 1e-12
 
 MODEL_FORMAT = "finite-contextual-model/1"
+WINGS = ("alice", "bob")  # wing index 0 is Alice, 1 is Bob
+SETTINGS_RULE = "nonempty, finite and distinct mod 2*pi"  # for each wing's settings
 
 
 def normalize_angle(theta: float) -> float:
@@ -49,6 +51,12 @@ def normalize_angle(theta: float) -> float:
     if t < 0.0:
         t += TWO_PI
     return 0.0 if t >= TWO_PI or t == 0.0 else t  # -0.0 becomes +0.0
+
+
+def valid_settings(settings: Sequence[float]) -> bool:
+    """Whether one wing's settings follow `SETTINGS_RULE`."""
+    finite = len(settings) > 0 and all(map(math.isfinite, settings))
+    return finite and len(set(map(normalize_angle, settings))) == len(settings)
 
 
 @dataclass(frozen=True)
@@ -110,8 +118,7 @@ def _validated_outcomes(table, n_source: int, n_inst: int, name: str) -> np.ndar
     return as_int
 
 
-@dataclass(frozen=True)
-class WingTables:
+class WingTables(NamedTuple):
     """Instrument data bound to one setting of one wing.
 
     `outcome[i, k]` is the registered outcome for source value i and
@@ -123,11 +130,17 @@ class WingTables:
     outcome: np.ndarray
 
 
+def _check_wing(wing) -> None:
+    if wing not in (0, 1):
+        raise ValueError(f"wing must be 0 (Alice) or 1 (Bob), got {wing!r}")
+
+
 class FiniteContextualModel:
     """Discrete source/instrument spaces with per-setting outcome tables.
 
     `alice` and `bob` map each declared setting (radians, normalized to
-    [0, 2*pi)) to its `WingTables`.  The source distribution is shared by all
+    [0, 2*pi)) to its `WingTables` or a (space, dist, outcome) tuple; they
+    are stored as wings 0 and 1.  The source distribution is shared by all
     setting pairs and never indexed by a setting.
     """
 
@@ -149,23 +162,19 @@ class FiniteContextualModel:
             raise ModelValidationError(
                 f"source_dist shape {self.source_dist.shape} != ({n1}, {n2})"
             )
-        self._alice = self._build_wing(alice, n1, "alice")
-        self._bob = self._build_wing(bob, n2, "bob")
+        self._wings = tuple(map(self._build_wing, (alice, bob), (n1, n2), WINGS))
         self._cum_source = np.cumsum(self.source_dist.ravel())
         self._cum_source[-1] = 1.0
         self._sampling_cache: dict = {}
 
     @staticmethod
     def _build_wing(tables, n_source: int, wing: str) -> dict[float, WingTables]:
-        if not tables:
-            raise ModelValidationError(f"{wing}: at least one setting is required")
+        settings = tuple(map(float, tables))
+        if not valid_settings(settings):
+            raise ModelValidationError(f"{wing}: settings {settings} must be {SETTINGS_RULE}")
         built: dict[float, WingTables] = {}
-        for setting, entry in tables.items():
+        for setting, (space, dist, outcome) in tables.items():
             s = normalize_angle(setting)
-            if isinstance(entry, WingTables):
-                space, dist, outcome = entry.space, entry.dist, entry.outcome
-            else:
-                space, dist, outcome = entry
             name = f"{wing}[{s!r}]"
             dist = _exact_probabilities(dist, name)
             if dist.ndim != 1 or len(dist) != len(tuple(space)):
@@ -176,28 +185,21 @@ class FiniteContextualModel:
 
     @property
     def alice_settings(self) -> tuple[float, ...]:
-        return tuple(self._alice)
+        return tuple(self._wings[0])
 
     @property
     def bob_settings(self) -> tuple[float, ...]:
-        return tuple(self._bob)
+        return tuple(self._wings[1])
 
-    def alice_tables(self, x: float) -> WingTables:
-        key = normalize_angle(x)
+    def tables(self, wing: int, setting: float) -> WingTables:
+        """The tables of wing 0 (Alice) or 1 (Bob) at one declared setting."""
+        _check_wing(wing)
         try:
-            return self._alice[key]
+            return self._wings[wing][normalize_angle(setting)]
         except KeyError:
             raise UnknownSettingError(
-                f"Alice setting {x!r} not declared (have {self.alice_settings})"
-            ) from None
-
-    def bob_tables(self, y: float) -> WingTables:
-        key = normalize_angle(y)
-        try:
-            return self._bob[key]
-        except KeyError:
-            raise UnknownSettingError(
-                f"Bob setting {y!r} not declared (have {self.bob_settings})"
+                f"{WINGS[wing].capitalize()} setting {float(setting)!r} not declared "
+                f"(have {tuple(self._wings[wing])})"
             ) from None
 
     # -- the generation protocol (see `simulate`) --
@@ -215,7 +217,7 @@ class FiniteContextualModel:
         """
         key = (wing, normalize_angle(setting))
         if key not in self._sampling_cache:
-            tables = (self.alice_tables, self.bob_tables)[wing](setting)
+            tables = self.tables(wing, setting)
             cum = np.cumsum(tables.dist)
             cum[-1] = 1.0
             self._sampling_cache[key] = (cum, tables.outcome)
@@ -270,27 +272,25 @@ def pair_expectation(model: FiniteContextualModel, x: float, y: float) -> float:
 
     Non-detections enter as 0, so this is the raw (unconditioned) value.
     """
-    abar = _response(model.alice_tables(x))
-    bbar = _response(model.bob_tables(y))
+    abar = _response(model.tables(0, x))
+    bbar = _response(model.tables(1, y))
     return _source_contract(model.source_dist, abar, bbar)
 
 
-def alice_marginal(model: FiniteContextualModel, x: float) -> float:
-    """Expectation of Alice's outcome at setting x; never references wing B."""
-    abar = _response(model.alice_tables(x))
-    return _source_contract(model.source_dist, abar, np.ones(len(model.lambda2_space)))
+def marginal(model: FiniteContextualModel, wing: int, setting: float) -> float:
+    """Expectation of wing 0's (Alice's) or 1's (Bob's) outcome at its setting.
 
-
-def bob_marginal(model: FiniteContextualModel, y: float) -> float:
-    """Expectation of Bob's outcome at setting y; never references wing A."""
-    bbar = _response(model.bob_tables(y))
-    return _source_contract(model.source_dist, np.ones(len(model.lambda1_space)), bbar)
+    The other wing enters only as a factor of ones: it is never referenced.
+    """
+    factors = [np.ones(n) for n in model.source_dist.shape]
+    factors[wing] = _response(model.tables(wing, setting))
+    return _source_contract(model.source_dist, *factors)
 
 
 def joint_detection_probability(model: FiniteContextualModel, x: float, y: float) -> float:
     """Probability that both wings register a nonzero outcome at (x, y)."""
-    sa = _detection(model.alice_tables(x))
-    sb = _detection(model.bob_tables(y))
+    sa = _detection(model.tables(0, x))
+    sb = _detection(model.tables(1, y))
     return _source_contract(model.source_dist, sa, sb)
 
 
@@ -309,26 +309,22 @@ def coincidence_expectation(model: FiniteContextualModel, x: float, y: float) ->
     return pair_expectation(model, x, y) / denom
 
 
-def postselected_marginal(model: FiniteContextualModel, x: float, y: float, wing: str) -> float:
-    """Single-wing expectation conditioned on joint detection at (x, y).
+def postselected_marginal(model: FiniteContextualModel, x: float, y: float, wing: int) -> float:
+    """Wing 0's (Alice's) or 1's (Bob's) expectation conditioned on joint detection at (x, y).
 
     Unlike the raw marginals this may depend on both settings: conditioning
     reweights the source values by the other wing's detection profile.
     """
-    if wing not in ("A", "B"):
-        raise ValueError(f"wing must be 'A' or 'B', got {wing!r}")
-    at, bt = model.alice_tables(x), model.bob_tables(y)
-    sa, sb = _detection(at), _detection(bt)
-    denom = _source_contract(model.source_dist, sa, sb)
+    _check_wing(wing)
+    tables = model.tables(0, x), model.tables(1, y)
+    factors = [_detection(t) for t in tables]
+    denom = _source_contract(model.source_dist, *factors)
     if denom <= 0.0:
         raise UndefinedConditionalError(
             f"no joint detections at (x={x!r}, y={y!r}); conditional undefined"
         )
-    if wing == "A":
-        num = _source_contract(model.source_dist, _response(at), sb)
-    else:
-        num = _source_contract(model.source_dist, sa, _response(bt))
-    return num / denom
+    factors[wing] = _response(tables[wing])
+    return _source_contract(model.source_dist, *factors) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +339,15 @@ def model_to_dict(model: FiniteContextualModel) -> dict:
     (lambda1, lambda2); each wing's `outcome[i_source][i_inst]` has the source
     index first.  Setting keys are repr'd floats, which round-trip exactly.
     """
-
-    def wing_dict(tables: dict[float, WingTables]) -> dict:
-        return {
+    doc = {
+        "format": MODEL_FORMAT,
+        "index_order": "source_dist[i1][i2]; outcome[i_source][i_inst]",
+        "lambda1_space": list(model.lambda1_space),
+        "lambda2_space": list(model.lambda2_space),
+        "source_dist": model.source_dist.tolist(),
+    }
+    for name, tables in zip(WINGS, model._wings):
+        doc[name] = {
             repr(float(s)): {
                 "space": list(t.space),
                 "dist": t.dist.tolist(),
@@ -353,34 +355,25 @@ def model_to_dict(model: FiniteContextualModel) -> dict:
             }
             for s, t in tables.items()
         }
-
-    return {
-        "format": MODEL_FORMAT,
-        "index_order": "source_dist[i1][i2]; outcome[i_source][i_inst]",
-        "lambda1_space": list(model.lambda1_space),
-        "lambda2_space": list(model.lambda2_space),
-        "source_dist": model.source_dist.tolist(),
-        "alice": wing_dict(model._alice),
-        "bob": wing_dict(model._bob),
-    }
+    return doc
 
 
 def model_from_dict(data: Mapping) -> FiniteContextualModel:
-    if data.get("format") != MODEL_FORMAT:
-        raise ModelValidationError(
-            f"unsupported model format {data.get('format')!r} (expected {MODEL_FORMAT!r})"
-        )
     try:
-        alice = {
-            float(s): (w["space"], w["dist"], w["outcome"]) for s, w in data["alice"].items()
-        }
-        bob = {
-            float(s): (w["space"], w["dist"], w["outcome"]) for s, w in data["bob"].items()
-        }
-        return FiniteContextualModel(
-            data["lambda1_space"], data["lambda2_space"], data["source_dist"], alice, bob
+        if data.get("format") != MODEL_FORMAT:
+            raise ModelValidationError(
+                f"unsupported model format {data.get('format')!r} (expected {MODEL_FORMAT!r})"
+            )
+        wings = (
+            {float(s): (w["space"], w["dist"], w["outcome"]) for s, w in data[name].items()}
+            for name in WINGS
         )
-    except (KeyError, TypeError) as exc:
+        return FiniteContextualModel(
+            data["lambda1_space"], data["lambda2_space"], data["source_dist"], *wings
+        )
+    except ModelValidationError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError(f"malformed model document: {exc}") from exc
 
 
@@ -391,7 +384,7 @@ def save_model(model: FiniteContextualModel, path) -> None:
 def load_model(path) -> FiniteContextualModel:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelValidationError(f"{path}: not valid JSON: {exc}") from exc
     return model_from_dict(data)
 
@@ -399,6 +392,11 @@ def load_model(path) -> FiniteContextualModel:
 # ---------------------------------------------------------------------------
 # Model factories
 # ---------------------------------------------------------------------------
+
+
+def _random_dist(rng: np.random.Generator, shape) -> np.ndarray:
+    raw = rng.random(shape) + 0.05
+    return raw / math.fsum(raw.flat)
 
 
 def random_model(
@@ -413,30 +411,17 @@ def random_model(
     """Random finite model with fresh instrument tables per setting.
 
     `zero_weight` is the probability mass put on the non-detection outcome
-    when drawing outcome-table entries.
+    when drawing outcome-table entries.  Draws: per setting the distribution,
+    then the outcome table, Alice's settings before Bob's, the source last.
     """
     probs = [(1 - zero_weight) / 2, zero_weight, (1 - zero_weight) / 2]
-
-    def rand_dist(shape):
-        raw = rng.random(shape) + 0.05
-        return raw / math.fsum(raw.flat)
-
-    def rand_wing(n_source):
-        dist = rand_dist(n_inst)
-        outcome = rng.choice((-1, 0, 1), size=(n_source, n_inst), p=probs)
-        return dist, outcome
-
-    alice = {}
-    for x in settings_x:
-        dist, outcome = rand_wing(n1)
-        alice[x] = (tuple(range(n_inst)), dist, outcome)
-    bob = {}
-    for y in settings_y:
-        dist, outcome = rand_wing(n2)
-        bob[y] = (tuple(range(n_inst)), dist, outcome)
-    return FiniteContextualModel(
-        tuple(range(n1)), tuple(range(n2)), rand_dist((n1, n2)), alice, bob
-    )
+    space, wings = tuple(range(n_inst)), ({}, {})
+    for tables, n_source, settings in zip(wings, (n1, n2), (settings_x, settings_y)):
+        for s in settings:
+            dist = _random_dist(rng, n_inst)
+            tables[s] = (space, dist, rng.choice((-1, 0, 1), size=(n_source, n_inst), p=probs))
+    source = _random_dist(rng, (n1, n2))
+    return FiniteContextualModel(tuple(range(n1)), tuple(range(n2)), source, *wings)
 
 
 def shared_space_model(
@@ -454,19 +439,10 @@ def shared_space_model(
     correlations are then random variables on the common space
     Lambda1 x Lambda2 x Lambda_x x Lambda_y, so |S| <= 2 up to sampling noise.
     """
-    raw = rng.random(n_inst) + 0.05
-    dist_a = raw / math.fsum(raw)
-    raw = rng.random(n_inst) + 0.05
-    dist_b = raw / math.fsum(raw)
-    raw = rng.random((n1, n2)) + 0.05
-    source = raw / math.fsum(raw.flat)
-
-    alice = {
-        x: (tuple(range(n_inst)), dist_a, rng.choice((-1, 1), size=(n1, n_inst)))
-        for x in settings_x
-    }
-    bob = {
-        y: (tuple(range(n_inst)), dist_b, rng.choice((-1, 1), size=(n2, n_inst)))
-        for y in settings_y
-    }
-    return FiniteContextualModel(tuple(range(n1)), tuple(range(n2)), source, alice, bob)
+    dists = [_random_dist(rng, n_inst) for _ in WINGS]
+    source = _random_dist(rng, (n1, n2))
+    space, wings = tuple(range(n_inst)), ({}, {})
+    for tables, dist, n_source, settings in zip(wings, dists, (n1, n2), (settings_x, settings_y)):
+        for s in settings:
+            tables[s] = (space, dist, rng.choice((-1, 1), size=(n_source, n_inst)))
+    return FiniteContextualModel(tuple(range(n1)), tuple(range(n2)), source, *wings)

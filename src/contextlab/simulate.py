@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, StreamFormatError
-from .models import FiniteContextualModel, normalize_angle
+from .models import SETTINGS_RULE, FiniteContextualModel, normalize_angle, valid_settings
 from .seeding import STREAM_ALICE, STREAM_BOB, STREAM_SETTINGS, STREAM_SOURCE, substream
 
 DEFAULT_CHUNK_SIZE = 65536
@@ -252,12 +252,9 @@ class SettingsSchedule:
             raise ConfigError(f"schedule mode must be 'random' or 'cycle', got {self.mode!r}")
         object.__setattr__(self, "x_settings", tuple(float(v) for v in self.x_settings))
         object.__setattr__(self, "y_settings", tuple(float(v) for v in self.y_settings))
-        if not self.x_settings or not self.y_settings:
-            raise ConfigError("setting lists must be nonempty")
         for wing, values in (("x", self.x_settings), ("y", self.y_settings)):
-            finite = all(map(math.isfinite, values))
-            if not finite or len(set(map(normalize_angle, values))) < len(values):
-                raise ConfigError(f"{wing} settings {values} must be finite, distinct mod 2*pi")
+            if not valid_settings(values):
+                raise ConfigError(f"{wing} settings {values} must be {SETTINGS_RULE}")
         if self.mode == "random" and self.seed is None:
             raise ConfigError("random schedule requires an explicit seed")
 

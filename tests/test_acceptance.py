@@ -31,8 +31,7 @@ from contextlab.coins import (
 )
 from contextlab.models import (
     FiniteContextualModel,
-    alice_marginal,
-    bob_marginal,
+    marginal,
     pair_expectation,
     random_model,
     shared_space_model,
@@ -114,7 +113,7 @@ def dyadic_model():
 
 def exact_joint_distribution(model, x, y):
     """Test-local brute-force outcome distribution q[a][b]."""
-    at, bt = model.alice_tables(x), model.bob_tables(y)
+    at, bt = model.tables(0, x), model.tables(1, y)
     q = {(a, b): 0.0 for a in (-1, 0, 1) for b in (-1, 0, 1)}
     n1, n2 = model.source_dist.shape
     for i in range(n1):
@@ -128,31 +127,23 @@ def exact_joint_distribution(model, x, y):
 
 
 def test_criterion_2_raw_no_signaling_exactness():
-    # (a) marginals are bit-identical under arbitrary Bob-side replacements
+    # (a) each wing's marginals are bit-identical under arbitrary replacements
+    # of the other wing's tables
+    def wing_tables(m, wing):
+        return {s: m.tables(wing, s) for s in (m.alice_settings, m.bob_settings)[wing]}
+
     for seed in range(20):
         model = random_model(np.random.default_rng(seed))
-        base_a = {x: alice_marginal(model, x) for x in model.alice_settings}
-        base_b = {y: bob_marginal(model, y) for y in model.bob_settings}
         for alt_seed in range(3):
             other = random_model(np.random.default_rng(7000 + 20 * seed + alt_seed), n_inst=3)
-            swapped = FiniteContextualModel(
-                model.lambda1_space,
-                model.lambda2_space,
-                model.source_dist,
-                {x: model.alice_tables(x) for x in model.alice_settings},
-                {y: other.bob_tables(y) for y in other.bob_settings},
-            )
-            for x in model.alice_settings:
-                assert alice_marginal(swapped, x) == base_a[x]
-            swapped_a = FiniteContextualModel(
-                model.lambda1_space,
-                model.lambda2_space,
-                model.source_dist,
-                {x: other.alice_tables(x) for x in other.alice_settings},
-                {y: model.bob_tables(y) for y in model.bob_settings},
-            )
-            for y in model.bob_settings:
-                assert bob_marginal(swapped_a, y) == base_b[y]
+            for wing in (0, 1):
+                wings = [wing_tables(model, 0), wing_tables(model, 1)]
+                wings[1 - wing] = wing_tables(other, 1 - wing)
+                swapped = FiniteContextualModel(
+                    model.lambda1_space, model.lambda2_space, model.source_dist, *wings
+                )
+                for s in wings[wing]:
+                    assert marginal(swapped, wing, s) == marginal(model, wing, s)
 
     # (b) on exact enumeration streams the per-outcome counts are equal across y
     model = dyadic_model()

@@ -447,6 +447,8 @@ def test_malformed_config_is_a_data_error(tmp_path):
     assert run(["bell-run", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"unknown-field": 1}))
     assert run(["bell-run", "--config", str(cfg)]) == 2
+    cfg.write_bytes(b'{"seed": "\xff"}')  # not UTF-8
+    assert run(["lhv-bound", "--config", str(cfg)]) == 2
 
 
 def test_model_file_path_round_trip(tmp_path):
@@ -467,6 +469,40 @@ def test_model_file_path_round_trip(tmp_path):
     )
     assert code == 0
     assert len(read_stream_csv(out)) == 2000
+
+
+def _model_document(edit):
+    from contextlab.models import model_to_dict, random_model
+
+    doc = model_to_dict(random_model(np.random.default_rng(1)))
+    return json.dumps(edit(doc) or doc).encode()
+
+
+def _extra_setting(key):
+    """A model file whose Alice wing also declares `key`, with the tables of angle 0.0."""
+    return _model_document(lambda d: d["alice"].update({key: d["alice"]["0.0"]}))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        _extra_setting("inf"),
+        _extra_setting("abc"),
+        _extra_setting("nan"),
+        _extra_setting("6.283185307179586"),  # 2 pi: three settings declared, two angles
+        _model_document(lambda d: d.update(alice=[1, 2])),
+        _model_document(lambda d: [d]),
+        b"\xff\xfe{}",  # not UTF-8
+    ],
+    ids=["inf-key", "abc-key", "nan-key", "colliding-keys", "list-wing", "list-document", "bytes"],
+)
+def test_malformed_model_file_is_a_data_error(tmp_path, capsys, content):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(content)
+    out = tmp_path / "stream.csv"
+    assert run(["bell-run", "--model", str(model_path), "--n-trials", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # --- sweep ------------------------------------------------------------------------

@@ -15,11 +15,10 @@ from contextlab.errors import (
 from contextlab.models import (
     FiniteContextualModel,
     SettingPair,
-    alice_marginal,
-    bob_marginal,
     coincidence_expectation,
     joint_detection_probability,
     load_model,
+    marginal,
     model_from_dict,
     model_to_dict,
     normalize_angle,
@@ -46,12 +45,34 @@ def constant_model(a_value, b_value, n1=2, n2=2, n_inst=2):
     return FiniteContextualModel(range(n1), range(n2), source, alice, bob)
 
 
+def wing_settings(model, wing):
+    return (model.alice_settings, model.bob_settings)[wing]
+
+
+def wing_tables(model, wing):
+    return {s: model.tables(wing, s) for s in wing_settings(model, wing)}
+
+
+def with_wing(model, wing, tables):
+    """`model` with every table of one wing replaced by `tables`."""
+    wings = [wing_tables(model, 0), wing_tables(model, 1)]
+    wings[wing] = tables
+    return FiniteContextualModel(
+        model.lambda1_space, model.lambda2_space, model.source_dist, *wings
+    )
+
+
+def all_plus(tables):
+    """The same tables with every outcome +1."""
+    return {s: t._replace(outcome=np.ones_like(t.outcome)) for s, t in tables.items()}
+
+
 # --- independent oracles -----------------------------------------------------
 
 
 def brute_force_sums(model, x, y):
     """Plain four-deep loop over the full parameter space; no factoring."""
-    at, bt = model.alice_tables(x), model.bob_tables(y)
+    at, bt = model.tables(0, x), model.tables(1, y)
     source = model.source_dist
     n1, n2 = source.shape
     product_sum = 0.0
@@ -76,7 +97,7 @@ def brute_force_sums(model, x, y):
 def mc_sample_products(model, x, y, n, seed):
     """Direct Monte Carlo over the model tables, independent of the library sampler."""
     rng = np.random.default_rng(seed)
-    at, bt = model.alice_tables(x), model.bob_tables(y)
+    at, bt = model.tables(0, x), model.tables(1, y)
     source = model.source_dist
     n1, n2 = source.shape
     flat = rng.choice(n1 * n2, size=n, p=source.ravel())
@@ -135,7 +156,7 @@ def test_probability_tables_sum_to_exactly_one():
     m = random_model(rng, n1=4, n2=3, n_inst=5)
     assert math.fsum(m.source_dist.flat) == 1.0
     for x in m.alice_settings:
-        assert math.fsum(m.alice_tables(x).dist) == 1.0
+        assert math.fsum(m.tables(0, x).dist) == 1.0
 
 
 def test_unknown_setting_raises():
@@ -143,9 +164,34 @@ def test_unknown_setting_raises():
     with pytest.raises(UnknownSettingError):
         pair_expectation(m, 0.123, Y0)
     with pytest.raises(UnknownSettingError):
-        alice_marginal(m, 1.0)
-    with pytest.raises(UnknownSettingError):
-        bob_marginal(m, 1.0)
+        marginal(m, 0, 1.0)
+    with pytest.raises(UnknownSettingError, match=r"^Bob setting 1\.0 not declared"):
+        marginal(m, 1, np.float64(1.0))
+
+
+@pytest.mark.parametrize("wing", [-1, 2, "A", "bob"])
+def test_tables_and_marginal_reject_a_wing_outside_zero_and_one(wing):
+    # -1 must not silently mean Bob
+    m = constant_model(1, 1)
+    with pytest.raises(ValueError, match="wing must be 0"):
+        m.tables(wing, Y0)
+    with pytest.raises(ValueError, match="wing must be 0"):
+        marginal(m, wing, Y0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "settings",
+    [(X0, math.inf), (math.nan,), (0.0, 2 * math.pi), (X1, X1 - 2 * math.pi), ()],
+    ids=["inf", "nan", "zero-and-2pi", "collide-mod-2pi", "none"],
+)
+def test_non_finite_colliding_and_missing_settings_are_refused(settings):
+    good = constant_model(1, 1)
+    alice = {s: good.tables(0, X0) for s in settings}
+    with pytest.raises(ModelValidationError, match="alice: settings"):
+        FiniteContextualModel((0, 1), (0, 1), good.source_dist, alice, wing_tables(good, 1))
+    with pytest.raises(ModelValidationError, match="alice: settings"):
+        discretize(MalusModel(), settings, (Y0,), n_source=4, n_alice=4, n_bob=4)
 
 
 # --- pair expectation ---------------------------------------------------------
@@ -186,10 +232,10 @@ def test_factored_contraction_equals_brute_force(seed):
                 assert coincidence_expectation(m, x, y) == pytest.approx(
                     product_sum / joint_det, abs=1e-12
                 )
-                assert postselected_marginal(m, x, y, "A") == pytest.approx(
+                assert postselected_marginal(m, x, y, 0) == pytest.approx(
                     a_masked / joint_det, abs=1e-12
                 )
-                assert postselected_marginal(m, x, y, "B") == pytest.approx(
+                assert postselected_marginal(m, x, y, 1) == pytest.approx(
                     b_masked / joint_det, abs=1e-12
                 )
 
@@ -201,15 +247,15 @@ def test_expectations_stay_in_unit_interval():
             for y in m.bob_settings:
                 assert abs(pair_expectation(m, x, y)) <= 1 + 1e-12
                 assert abs(coincidence_expectation(m, x, y)) <= 1 + 1e-12
-            assert abs(alice_marginal(m, x)) <= 1 + 1e-12
+            assert abs(marginal(m, 0, x)) <= 1 + 1e-12
 
 
 # --- marginals -----------------------------------------------------------------
 
 
 def test_constant_marginals():
-    assert alice_marginal(constant_model(1, -1), X0) == 1.0
-    assert bob_marginal(constant_model(1, -1), Y1) == -1.0
+    assert marginal(constant_model(1, -1), 0, X0) == 1.0
+    assert marginal(constant_model(1, -1), 1, Y1) == -1.0
 
 
 def test_antisymmetric_outcomes_cancel():
@@ -223,22 +269,22 @@ def test_antisymmetric_outcomes_cancel():
         {X0: ((0, 1), dist, a_table)},
         {Y0: ((0, 1), dist, b_table)},
     )
-    assert alice_marginal(m, X0) == 0.0
+    assert marginal(m, 0, X0) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_marginal_equals_joint_with_other_wing_marginalized(seed):
     rng = np.random.default_rng(200 + seed)
     m = random_model(rng, n1=3, n2=3, n_inst=2)
-    at = m.alice_tables(X0)
+    at = m.tables(0, X0)
     # independent marginalization oracle: contract everything with einsum
     abar = np.einsum("ik,k->i", at.outcome.astype(float), at.dist)
     expected = float(np.einsum("ij,i->", m.source_dist, abar))
-    assert alice_marginal(m, X0) == pytest.approx(expected, abs=1e-14)
-    bt = m.bob_tables(Y1)
+    assert marginal(m, 0, X0) == pytest.approx(expected, abs=1e-14)
+    bt = m.tables(1, Y1)
     bbar = np.einsum("jl,l->j", bt.outcome.astype(float), bt.dist)
     expected_b = float(np.einsum("ij,j->", m.source_dist, bbar))
-    assert bob_marginal(m, Y1) == pytest.approx(expected_b, abs=1e-14)
+    assert marginal(m, 1, Y1) == pytest.approx(expected_b, abs=1e-14)
 
 
 def test_marginalization_consistency_is_bit_exact():
@@ -246,32 +292,44 @@ def test_marginalization_consistency_is_bit_exact():
     for seed in range(5):
         rng = np.random.default_rng(300 + seed)
         m = random_model(rng, n1=3, n2=4, n_inst=3)
-        ones = {
-            y: (m.bob_tables(y).space, m.bob_tables(y).dist, np.ones_like(m.bob_tables(y).outcome))
-            for y in m.bob_settings
-        }
-        m_ones = FiniteContextualModel(
-            m.lambda1_space, m.lambda2_space, m.source_dist,
-            {x: m.alice_tables(x) for x in m.alice_settings}, ones,
-        )
+        m_ones = with_wing(m, 1, all_plus(wing_tables(m, 1)))
         for x in m.alice_settings:
-            assert pair_expectation(m_ones, x, Y0) == alice_marginal(m, x)
+            assert pair_expectation(m_ones, x, Y0) == marginal(m, 0, x)
 
 
 def test_raw_no_signaling_is_bit_exact():
     # Alice marginals must be unchanged under arbitrary replacement of Bob tables
     rng = np.random.default_rng(42)
     m = random_model(rng, n1=3, n2=3, n_inst=2)
-    baseline = {x: alice_marginal(m, x) for x in m.alice_settings}
+    baseline = {x: marginal(m, 0, x) for x in m.alice_settings}
     for seed in range(10):
         other = random_model(np.random.default_rng(5000 + seed), n1=3, n2=3, n_inst=4)
-        hybrid = FiniteContextualModel(
-            m.lambda1_space, m.lambda2_space, m.source_dist,
-            {x: m.alice_tables(x) for x in m.alice_settings},
-            {y: other.bob_tables(y) for y in other.bob_settings},
-        )
+        hybrid = with_wing(m, 1, wing_tables(other, 1))
         for x in m.alice_settings:
-            assert alice_marginal(hybrid, x) == baseline[x]
+            assert marginal(hybrid, 0, x) == baseline[x]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    other_seed=st.integers(0, 2**32 - 1),
+    wing=st.sampled_from((0, 1)),
+    n1=st.integers(1, 4),
+    n2=st.integers(1, 4),
+    n_inst=st.integers(1, 4),
+)
+def test_marginals_are_bit_identical_under_table_swaps(seed, other_seed, wing, n1, n2, n_inst):
+    # the other wing's tables, or all-(+1) outcome tables, leave the marginal's fsum bit for bit
+    m = random_model(np.random.default_rng(seed), n1=n1, n2=n2)
+    other = random_model(np.random.default_rng(other_seed), n1=n1, n2=n2, n_inst=n_inst)
+    swapped = with_wing(m, 1 - wing, wing_tables(other, 1 - wing))
+    plus = with_wing(m, 1 - wing, all_plus(wing_tables(other, 1 - wing)))
+    for s in wing_settings(m, wing):
+        expected = marginal(m, wing, s)
+        assert marginal(swapped, wing, s) == expected
+        for t in wing_settings(plus, 1 - wing):
+            x, y = (s, t) if wing == 0 else (t, s)
+            assert pair_expectation(plus, x, y) == expected
 
 
 # --- conditioning ---------------------------------------------------------------
@@ -283,8 +341,8 @@ def test_conditioning_on_sure_event_is_identity():
         for x in m.alice_settings:
             for y in m.bob_settings:
                 assert coincidence_expectation(m, x, y) == pair_expectation(m, x, y)
-                assert postselected_marginal(m, x, y, "A") == alice_marginal(m, x)
-                assert postselected_marginal(m, x, y, "B") == bob_marginal(m, y)
+                assert postselected_marginal(m, x, y, 0) == marginal(m, 0, x)
+                assert postselected_marginal(m, x, y, 1) == marginal(m, 1, y)
 
 
 def test_selective_cell_conditioning_matches_enumeration():
@@ -308,7 +366,7 @@ def test_all_dead_wing_raises_undefined_conditional():
     with pytest.raises(UndefinedConditionalError):
         coincidence_expectation(m, X0, Y0)
     with pytest.raises(UndefinedConditionalError):
-        postselected_marginal(m, X0, Y0, "A")
+        postselected_marginal(m, X0, Y0, 0)
 
 
 def test_postselected_marginal_of_constant_wing_is_constant():
@@ -322,13 +380,14 @@ def test_postselected_marginal_of_constant_wing_is_constant():
         {X0: ((0, 1), dist, a_table)},
         {Y0: ((0, 1), dist, b_table), Y1: ((0, 1), dist, b_table)},
     )
-    assert postselected_marginal(m, X0, Y0, "A") == 1.0
-    assert postselected_marginal(m, X0, Y1, "A") == 1.0
+    assert postselected_marginal(m, X0, Y0, 0) == 1.0
+    assert postselected_marginal(m, X0, Y1, 0) == 1.0
 
 
 def test_postselected_marginal_rejects_unknown_wing():
-    with pytest.raises(ValueError):
-        postselected_marginal(constant_model(1, 1), X0, Y0, "alice")
+    for wing in (-1, 2, "A", "alice"):
+        with pytest.raises(ValueError, match="wing must be 0"):
+            postselected_marginal(constant_model(1, 1), X0, Y0, wing)
 
 
 # --- determinism and persistence -------------------------------------------------
@@ -349,8 +408,8 @@ def test_model_json_round_trip(tmp_path):
     loaded = load_model(path)
     assert np.array_equal(loaded.source_dist, m.source_dist)
     for x in m.alice_settings:
-        assert np.array_equal(loaded.alice_tables(x).outcome, m.alice_tables(x).outcome)
-        assert np.array_equal(loaded.alice_tables(x).dist, m.alice_tables(x).dist)
+        assert np.array_equal(loaded.tables(0, x).outcome, m.tables(0, x).outcome)
+        assert np.array_equal(loaded.tables(0, x).dist, m.tables(0, x).dist)
         assert pair_expectation(loaded, x, m.bob_settings[0]) == pair_expectation(
             m, x, m.bob_settings[0]
         )
@@ -366,12 +425,10 @@ def test_model_dict_rejects_bad_format():
 
 def test_shared_space_model_has_no_zeros_and_common_instruments():
     m = shared_space_model(np.random.default_rng(3))
-    dists = [m.alice_tables(x).dist for x in m.alice_settings]
-    assert np.array_equal(dists[0], dists[1])
-    for x in m.alice_settings:
-        assert np.all(m.alice_tables(x).outcome != 0)
-    for y in m.bob_settings:
-        assert np.all(m.bob_tables(y).outcome != 0)
+    for wing in (0, 1):
+        tables = list(wing_tables(m, wing).values())
+        assert np.array_equal(tables[0].dist, tables[1].dist)
+        assert all(np.all(t.outcome != 0) for t in tables)
 
 
 # --- the numpy-formed contraction against the scalar reference --------------------
@@ -402,7 +459,7 @@ def ref_contract(source, a_factor, b_factor):
 
 def ref_exact_values(model, x, y) -> dict:
     """Every exact function at (x, y) by scalar generators fed to fsum."""
-    at, bt = model.alice_tables(x), model.bob_tables(y)
+    at, bt = model.tables(0, x), model.tables(1, y)
     source = model.source_dist
     cells = [(i, j) for i in range(source.shape[0]) for j in range(source.shape[1])]
     abar, bbar = ref_response(at), ref_response(bt)
@@ -430,12 +487,12 @@ def exact_values(model, x, y) -> dict:
 
     return {
         "pair": pair_expectation(model, x, y),
-        "alice": alice_marginal(model, x),
-        "bob": bob_marginal(model, y),
+        "alice": marginal(model, 0, x),
+        "bob": marginal(model, 1, y),
         "joint": joint_detection_probability(model, x, y),
         "coincidence": value(coincidence_expectation, x, y),
-        "post_A": value(postselected_marginal, x, y, "A"),
-        "post_B": value(postselected_marginal, x, y, "B"),
+        "post_A": value(postselected_marginal, x, y, 0),
+        "post_B": value(postselected_marginal, x, y, 1),
     }
 
 

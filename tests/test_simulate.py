@@ -360,11 +360,11 @@ def test_zero_sharpness_discretization_is_bit_identical_to_malus():
     m_malus = discretize(MalusModel(), (0.0, PI / 4), (PI / 8,), **kwargs)
     m_zero = discretize(SelectiveModel(0.0, asymmetry=0.25), (0.0, PI / 4), (PI / 8,), **kwargs)
     assert np.array_equal(m_malus.source_dist, m_zero.source_dist)
-    for x in m_malus.alice_settings:
-        assert np.array_equal(m_malus.alice_tables(x).outcome, m_zero.alice_tables(x).outcome)
-        assert np.array_equal(m_malus.alice_tables(x).dist, m_zero.alice_tables(x).dist)
-    for y in m_malus.bob_settings:
-        assert np.array_equal(m_malus.bob_tables(y).outcome, m_zero.bob_tables(y).outcome)
+    for wing, settings in enumerate((m_malus.alice_settings, m_malus.bob_settings)):
+        for s in settings:
+            malus, zero = m_malus.tables(wing, s), m_zero.tables(wing, s)
+            assert np.array_equal(malus.outcome, zero.outcome)
+            assert np.array_equal(malus.dist, zero.dist)
 
 
 def test_discretized_selective_postselected_marginal_depends_on_bob_setting():
@@ -372,8 +372,8 @@ def test_discretized_selective_postselected_marginal_depends_on_bob_setting():
     m = discretize(
         SelectiveModel(d, eta), (0.0,), (PI / 8, 3 * PI / 8), n_source=240, n_alice=500, n_bob=500
     )
-    m1 = postselected_marginal(m, 0.0, PI / 8, "A")
-    m2 = postselected_marginal(m, 0.0, 3 * PI / 8, "A")
+    m1 = postselected_marginal(m, 0.0, PI / 8, 0)
+    m2 = postselected_marginal(m, 0.0, 3 * PI / 8, 0)
     assert m1 == pytest.approx(quad_post_marginal_a(0.0, PI / 8, d, eta), abs=0.02)
     assert m2 == pytest.approx(quad_post_marginal_a(0.0, 3 * PI / 8, d, eta), abs=0.02)
     assert abs(m1 - m2) > 0.2
