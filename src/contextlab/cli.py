@@ -450,22 +450,29 @@ TESTS = {
 
 
 def cmd_stream_test(v: dict, config: dict) -> int:
+    doc: dict = {}
     if v["kind"] == "coins":
         faces = read_coin_csv(v["stream"])
         reports = [TESTS[name](faces, v) for name in v["tests"]]
     else:
         stream = read_stream_csv(v["stream"])
         wing = v["wing"].upper()
+        indicators = ternary_to_indicators(stream.a if wing == "A" else stream.b)
+        # an outcome the wing never gives has no stream to test
+        doc["absent_outcomes"] = [symbol for symbol, bits in indicators.items() if not bits.any()]
         reports = [
             replace(t, name=f"{t.name}[wing={wing}, outcome={symbol:+d}]")
-            for symbol, bits in ternary_to_indicators(stream.a if wing == "A" else stream.b).items()
+            for symbol, bits in indicators.items()
+            if symbol not in doc["absent_outcomes"]
             for t in (TESTS[name](bits, v) for name in v["tests"])
         ]
+        for symbol in doc["absent_outcomes"]:
+            print(f"outcome={symbol:+d} never occurs at wing {wing}: not tested")
     for t in reports:
         flag = "REJECT" if t.reject else "ok"
         print(f"{t.name:<55} stat={t.statistic:10.3f} p={t.p_value:10.3g} [{flag}]")
     if v["report"]:
-        doc = {"tests": [t.to_dict() for t in reports]}
+        doc["tests"] = [t.to_dict() for t in reports]
         print(f"report: {write_report(doc, out_path(v['report']), config)}")
     return 0
 

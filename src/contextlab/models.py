@@ -59,6 +59,13 @@ def valid_settings(settings: Sequence[float]) -> bool:
     return finite and len(set(map(normalize_angle, settings))) == len(settings)
 
 
+def check_settings(wing: str, settings) -> None:
+    """Raise `ModelValidationError` unless the wing's settings follow `SETTINGS_RULE`."""
+    settings = tuple(map(float, settings))
+    if not valid_settings(settings):
+        raise ModelValidationError(f"{wing}: settings {settings} must be {SETTINGS_RULE}")
+
+
 @dataclass(frozen=True)
 class SettingPair:
     """One (Alice, Bob) pair of analyzer settings, angles in [0, 2*pi)."""
@@ -169,9 +176,7 @@ class FiniteContextualModel:
 
     @staticmethod
     def _build_wing(tables, n_source: int, wing: str) -> dict[float, WingTables]:
-        settings = tuple(map(float, tables))
-        if not valid_settings(settings):
-            raise ModelValidationError(f"{wing}: settings {settings} must be {SETTINGS_RULE}")
+        check_settings(wing, tables)
         built: dict[float, WingTables] = {}
         for setting, (space, dist, outcome) in tables.items():
             s = normalize_angle(setting)

@@ -12,16 +12,20 @@ shows the same statistics.
 Streams may be numpy arrays, lists of 0/1, of booleans, of +-1, or of the
 coin symbols 'B'/'R'.  Normal approximations carry explicit small-sample
 cutoffs with exact fallbacks (combinatorial runs distribution, exact binomial
-test).  All tests are deterministic functions of their input.  Tails come from
-`scipy.special`, which `scipy.stats` itself calls, and `scipy.stats` serves only
-the exact binomial test; both are imported inside the functions that use them.
+test).  All tests are deterministic functions of their input.  Every p-value
+comes from the standard library, so no test loads scipy: chi-square tails from
+`chi_square_tails` (the regularized incomplete gamma function, a series or a
+continued fraction in floats, with its prefactor in `decimal` off the centre),
+normal tails from `math.erfc`, the normal quantile from `statistics.NormalDist`
+(imported only where a quantile is taken) and the exact binomial test from
+`math.comb` terms under `math.fsum`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from math import comb, erfc
+from math import comb, erfc, fsum
 from typing import Sequence
 
 import numpy as np
@@ -96,6 +100,71 @@ def ternary_to_indicators(values) -> dict[int, np.ndarray]:
 # Shared statistics
 # ---------------------------------------------------------------------------
 
+# the Stirling series of ln Gamma(a + 1) - (a ln a - a + ln(2 pi a) / 2) in 1/a:
+# B(2k) / (2k (2k - 1)) for k = 1..8, whose next term is below 2e-18 at a = 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+
+
+def _gamma_prefactor(a: float, x: float) -> float:
+    """x**a * exp(-x) / Gamma(a + 1), the factor both chi-square tails share.
+
+    Off the range where the float formula is good to a few ulps, its
+    logarithm a ln(x/a) - (x - a) - c(a), with c(a) = ln Gamma(a + 1) - a ln a + a,
+    is formed in 40-digit `decimal` arithmetic.  In double precision the
+    rounding of those large terms costs up to 3.6e-13 relative in the far
+    tails at large dof; c(a) is small and needs only floats.
+    """
+    if a < 10.0 and x < 700.0:
+        return math.exp(-x) * x**a / math.gamma(a + 1.0)
+    from decimal import Decimal, localcontext
+
+    if a < 10.0:
+        c = math.lgamma(a + 1.0) - a * math.log(a) + a
+    else:
+        c = 0.5 * math.log(2.0 * math.pi * a) + fsum(
+            k / a ** (2 * i + 1) for i, k in enumerate(_STIRLING)
+        )
+    with localcontext() as ctx:
+        ctx.prec = 40
+        xd, ad = Decimal(x), Decimal(a)
+        return float((ad * (xd / ad).ln() - (xd - ad) - Decimal(c)).exp())
+
+
+def chi_square_tails(dof: int, stat: float) -> tuple[float, float]:
+    """Lower and upper tail of the chi-square law with `dof` degrees of freedom at `stat`.
+
+    These are the regularized incomplete gamma functions P and Q at a = dof/2,
+    x = stat/2.  Below x = a + 1, P is the prefactor times a power series
+    summed with `fsum`; above, Q is the prefactor times a continued fraction
+    (modified Lentz).  The other tail is the complement, which stays in
+    [0, 1] because the tail computed directly is at most 0.92 in its region.
+    """
+    a, x = dof / 2.0, stat / 2.0
+    prefactor = _gamma_prefactor(a, x)
+    if x < a + 1.0:
+        terms, n = [1.0], 1
+        while terms[-1] > 1e-17:  # the sum is at least 1 and the terms fall
+            terms.append(terms[-1] * x / (a + n))
+            n += 1
+        lower = prefactor * fsum(terms)
+        return lower, 1.0 - lower
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h, i, delta = d, 0, 0.0
+    while abs(delta - 1.0) >= 4e-16:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        delta = d * c
+        h *= delta
+    upper = prefactor * a * h
+    return 1.0 - upper, upper
+
 
 def chi_square_table(counts) -> tuple[float, int, float]:
     """Pearson chi-square of homogeneity for a contingency table.
@@ -111,8 +180,7 @@ def chi_square_table(counts) -> tuple[float, int, float]:
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
     stat = float(((table - expected) ** 2 / expected).sum())
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
-    from scipy.special import chdtrc
-    return stat, dof, float(chdtrc(dof, stat))
+    return stat, dof, chi_square_tails(dof, stat)[1]
 
 
 def two_proportion_test(
@@ -210,6 +278,24 @@ def runs_test(stream, alpha: float = 0.01) -> TestReport:
 # ---------------------------------------------------------------------------
 
 
+def binomial_pmf(n: int, p0: float) -> list[float]:
+    """P(K = i) for K ~ binomial(n, p0), i = 0..n, each from `math.comb`."""
+    return [comb(n, i) * p0**i * (1.0 - p0) ** (n - i) for i in range(n + 1)]
+
+
+def exact_binomial_p_value(k: int, n: int, p0: float) -> float:
+    """Two-sided exact binomial p-value by `scipy.stats.binomtest`'s rule.
+
+    It sums pmf(i) over every outcome i with pmf(i) <= pmf(k) * (1 + 1e-7),
+    capped at 1; k = n * p0 gives 1.
+    """
+    if k == n * p0:
+        return 1.0
+    pmf = binomial_pmf(n, p0)
+    cut = pmf[k] * (1.0 + 1e-7)
+    return min(1.0, fsum(q for q in pmf if q <= cut))
+
+
 def frequency_test(stream, p0: float = 0.5, alpha: float = 0.01) -> TestReport:
     """Two-sided test of the success frequency against p0."""
     if not 0.0 < p0 < 1.0:
@@ -218,9 +304,8 @@ def frequency_test(stream, p0: float = 0.5, alpha: float = 0.01) -> TestReport:
     n = len(bits)
     k = int(bits.sum())
     if n < FREQUENCY_NORMAL_CUTOFF:
-        from scipy import stats as sstats
         statistic, null_ref = float(k), f"binomial(n={n}, p={p0})"
-        p = float(sstats.binomtest(k, n, p0).pvalue)
+        p = exact_binomial_p_value(k, n, p0)
     else:
         statistic = float((k / n - p0) / math.sqrt(p0 * (1.0 - p0) / n))
         null_ref, p = "normal(0,1)", float(erfc(abs(statistic) / math.sqrt(2)))
@@ -264,10 +349,7 @@ def block_variance_test(stream, block_size: int, alpha: float = 0.01) -> TestRep
     expected_var = block_size * p_hat * (1.0 - p_hat)
     stat = float(((counts - block_size * p_hat) ** 2).sum() / expected_var)
     dof = m - 1
-    from scipy.special import chdtr, chdtrc
-    lower = float(chdtr(dof, stat))
-    upper = float(chdtrc(dof, stat))
-    p = min(1.0, 2.0 * min(lower, upper))
+    p = min(1.0, 2.0 * min(chi_square_tails(dof, stat)))
     return TestReport(
         name="block-variance",
         statistic=stat,
@@ -353,9 +435,9 @@ def autocorrelation_test(stream, max_lag: int, alpha: float = 0.01) -> TestRepor
     lags = np.arange(1, max_lag + 1)
     r = np.array([_lag_product(bits, k) / denom for k in lags.tolist()])
     q = float(n * (n + 2.0) * np.sum(r**2 / (n - lags)))
-    from scipy.special import chdtrc, ndtri
-    p = float(chdtrc(max_lag, q))
-    band = ndtri(1.0 - alpha / 2.0) / math.sqrt(n)
+    from statistics import NormalDist
+    p = chi_square_tails(max_lag, q)[1]
+    band = NormalDist().inv_cdf(1.0 - alpha / 2.0) / math.sqrt(n)
     return TestReport(
         name="autocorrelation",
         statistic=q,
@@ -366,7 +448,7 @@ def autocorrelation_test(stream, max_lag: int, alpha: float = 0.01) -> TestRepor
         details={
             "lags": lags.tolist(),
             "autocorrelations": r.tolist(),
-            "band": float(band),
+            "band": band,
         },
     )
 
@@ -419,8 +501,8 @@ def inhomogeneity_breakdown_demo(
     if seg * n_subsamples < MIN_SUBSAMPLE * n_subsamples:
         raise InsufficientDataError("stream too short for the demonstration")
     rng = np.random.default_rng(seed)
-    from scipy.special import ndtri
-    z = float(ndtri(0.5 + ci_level / 2.0))
+    from statistics import NormalDist
+    z = NormalDist().inv_cdf(0.5 + ci_level / 2.0)
     covered = np.zeros(len(regimes))
     rejected = 0
     pooled_sum = 0.0

@@ -43,7 +43,14 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, StreamFormatError
-from .models import SETTINGS_RULE, FiniteContextualModel, normalize_angle, valid_settings
+from .models import (
+    SETTINGS_RULE,
+    WINGS,
+    FiniteContextualModel,
+    check_settings,
+    normalize_angle,
+    valid_settings,
+)
 from .seeding import STREAM_ALICE, STREAM_BOB, STREAM_SETTINGS, STREAM_SOURCE, substream
 
 DEFAULT_CHUNK_SIZE = 65536
@@ -360,6 +367,8 @@ def discretize(
     absorbed into a midpoint grid over [0, 1).  `max_cells` caps the total
     number of stored table cells (source plus all outcome tables).
     """
+    for wing, settings in zip(WINGS, (settings_x, settings_y)):
+        check_settings(wing, settings)
     if min(n_source, n_alice, n_bob) < 2:
         raise ConfigError("discretization needs at least 2 cells per variable")
     stored = (

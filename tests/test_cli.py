@@ -4,15 +4,19 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from contextlab.analysis import estimate_correlations
-from contextlab.cli import TABLE, emit_plot_data, parse_angle, parse_angle_list, run_command
+from contextlab.cli import TABLE, TESTS, emit_plot_data, parse_angle, parse_angle_list, run_command
 from contextlab.models import SettingPair
 from contextlab.simulate import read_stream_csv, stream_digest
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(argv, capsys=None):
@@ -163,29 +167,63 @@ def test_non_finite_selective_parameters_are_data_errors(tmp_path):
 
 
 def test_importing_the_cli_and_generating_load_no_scipy(tmp_path):
-    # scipy is imported only where a p-value is computed, and scipy.stats only
-    # for the exact binomial test of a short stream
+    # every p-value comes from the standard library, so no command loads scipy
+    s, u, short = (str(tmp_path / name) for name in ("s.csv", "u.csv", "short.csv"))
+    tests = ("runs", "frequency", "block-variance", "homogeneity", "autocorrelation")
+    commands = [
+        ["bell-run", "--n-trials", "20000", "--out", s],
+        ["bell-analyze", "--stream", s],
+        *(["coins-run", "--experiment", e, "--out", str(tmp_path / f"{e}.csv")]
+          for e in ("e1", "e2", "e3", "e5", "e6", "hole")),
+        ["coins-run", "--experiment", "e4", "--out", u],
+        ["coins-run", "--experiment", "e1", "--n", "20", "--out", short],
+        ["stream-test", "--kind", "coins", "--stream", u],
+        ["stream-test", "--kind", "bell", "--stream", s],
+        *(["stream-test", "--kind", kind, "--stream", path, "--tests", test]
+          for kind, path in (("coins", u), ("bell", s)) for test in tests),
+        ["stream-test", "--kind", "coins", "--stream", short, "--tests", "frequency"],
+        ["sweep", "--d-grid", "0,1", "--trials-per-point", "20000"],
+        ["lhv-bound"],
+        ["demo", "--quick", "--out-dir", str(tmp_path / "demo")],
+    ]
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "from contextlab.cli import run_command\n"
-        "loaded = ['scipy' in sys.modules]\n"
-        f"run_command(['bell-run', '--n-trials', '100', '--out', {str(tmp_path / 's.csv')!r}])\n"
-        f"run_command(['coins-run', '--experiment', 'e4', '--out', {str(tmp_path / 'u.csv')!r}])\n"
-        "loaded.append('scipy' in sys.modules)\n"
-        f"run_command(['bell-analyze', '--stream', {str(tmp_path / 's.csv')!r}])\n"
-        "loaded.append('scipy' in sys.modules)\n"
-        "loaded.append('scipy.stats' in sys.modules)\n"
-        f"run_command(['stream-test', '--kind', 'coins', '--stream', {str(tmp_path / 'u.csv')!r}])\n"
-        "loaded.append('scipy.stats' in sys.modules)\n"
+        "def scipy(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "loaded = [scipy()]\n"
+        f"for argv in json.loads({json.dumps(commands)!r}):\n"
+        "    assert run_command(argv) == 0, argv\n"
+        "    loaded.append(scipy())\n"
         "print(loaded)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[False, False, True, False, False]"
+    assert done.stdout.splitlines()[-1] == str([False] * (len(commands) + 1))
+
+
+def test_the_finite_oracle_driver_loads_no_scipy(tmp_path):
+    from contextlab.models import random_model, save_model
+
+    save_model(random_model(np.random.default_rng(4), n1=6, n2=6, n_inst=3), tmp_path / "m.json")
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    script = (
+        "import runpy, sys\n"
+        f"oracle = runpy.run_path({os.path.join(root, 'bench', 'finite_oracle.py')!r})\n"
+        "assert oracle['main'](['m.json', 'o.json', '--trials', '4000', '--seed', '1']) == 0\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert json.loads((tmp_path / "o.json").read_text())["no_signaling"]
 
 
 # --- lhv-bound -------------------------------------------------------------------
@@ -369,9 +407,26 @@ def test_alternating_device_bytes_are_pinned(tmp_path):
     )
 
 
+def assert_equal_but_p_values(doc, fixture, path=""):
+    """Every field equal, except `p_value` fields within a relative 2e-13."""
+    if isinstance(fixture, dict):
+        assert sorted(doc) == sorted(fixture), path
+        for key in fixture:
+            if key == "p_value":
+                assert abs(doc[key] - fixture[key]) <= 2e-13 * fixture[key], path
+            else:
+                assert_equal_but_p_values(doc[key], fixture[key], f"{path}/{key}")
+    elif isinstance(fixture, list):
+        assert len(doc) == len(fixture), path
+        for i, (a, b) in enumerate(zip(doc, fixture)):
+            assert_equal_but_p_values(a, b, f"{path}[{i}]")
+    else:
+        assert doc == fixture and type(doc) is type(fixture), path
+
+
 def test_p_value_report_bytes_are_pinned(tmp_path):
-    # recorded when every chi-square and normal tail came from scipy.stats; the
-    # autocorrelation test's exact values are pinned by
+    # the fixtures are these reports as written when the tails came from
+    # scipy.special; the autocorrelation test's exact values are pinned by
     # test_autocorrelations_are_the_exact_ratios_rounded_once instead
     stream, urn = tmp_path / "s.csv", tmp_path / "urn.csv"
     bell = ["bell-run", "--model", "selective", "--sharpness", "2", "--asymmetry", "0.25"]
@@ -382,11 +437,14 @@ def test_p_value_report_bytes_are_pinned(tmp_path):
     tests = ["stream-test", "--stream", str(urn), "--kind", "coins"]
     tests += ["--tests", "runs,frequency,block-variance,homogeneity"]
     assert run(tests + ["--report", str(tmp_path / "t.json")]) == 0
+    for report, fixture in (("r.json", "p_value_report_bell.json"), ("t.json", "p_value_report_coins.json")):
+        doc = json.loads((tmp_path / report).read_text())
+        assert_equal_but_p_values(doc, json.loads((DATA / fixture).read_text()))
     assert stream_digest(tmp_path / "r.json") == (
-        "fa76219184e4188f649cf448c58baac1c118b156985f0ad3fb0f091aa87f9a3c"
+        "7cf823c5436524dbd776dd9497d33e9a29a3a76f784031673f634d9841d76957"
     )
     assert stream_digest(tmp_path / "t.json") == (
-        "b629eb2ec482a7c7e4f9b38e3bdc337249f70cd1178df9f96b2d213b20c94121"
+        "8a221cd0276d5c52d7d96615e5569040b30df26f1afaf53259c66270c392411b"
     )
 
 
@@ -668,6 +726,21 @@ def test_stream_test_bell_wing_maps_to_indicators(tmp_path):
     assert code == 0
     doc = json.loads(report.read_text())
     assert len(doc["tests"]) == 6  # three indicator streams x two tests
+
+
+def test_stream_test_skips_and_names_an_outcome_the_wing_never_gives(tmp_path, capsys):
+    # the malus model never rejects, so outcome 0 never occurs at either wing
+    stream, report = tmp_path / "s.csv", tmp_path / "t.json"
+    assert run(["bell-run", "--model", "malus", "--n-trials", "20000", "--out", str(stream)]) == 0
+    capsys.readouterr()
+    assert run(["stream-test", "--stream", str(stream), "--kind", "bell", "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "outcome=+0 never occurs at wing A: not tested" in out
+    assert "outcome=+0]" not in out
+    doc = json.loads(report.read_text())
+    assert doc["absent_outcomes"] == [0]
+    assert len(doc["tests"]) == 2 * len(TESTS)
+    assert not any("outcome=+0" in t["name"] for t in doc["tests"])
 
 
 def test_outdir_env_var_applies_to_relative_paths(tmp_path, monkeypatch):

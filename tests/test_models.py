@@ -179,7 +179,7 @@ def test_tables_and_marginal_reject_a_wing_outside_zero_and_one(wing):
         marginal(m, wing, Y0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # refused before any table is computed
 @pytest.mark.parametrize(
     "settings",
     [(X0, math.inf), (math.nan,), (0.0, 2 * math.pi), (X1, X1 - 2 * math.pi), ()],

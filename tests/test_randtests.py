@@ -1,7 +1,9 @@
 import itertools
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -11,9 +13,12 @@ from scipy import stats as sstats
 from contextlab.errors import ConfigError, InsufficientDataError
 from contextlab.randtests import (
     autocorrelation_test,
+    binomial_pmf,
     block_variance_test,
     chi_square_table,
+    chi_square_tails,
     encode_binary,
+    exact_binomial_p_value,
     frequency_test,
     homogeneity_test,
     homogeneity_test_groups,
@@ -241,22 +246,49 @@ def test_chi_square_drops_empty_categories():
     assert (stat, dof, p) == (0.0, 0, 1.0)
 
 
-# --- p-values against the scipy.stats distributions --------------------------------------
+# --- p-values against mpmath ----------------------------------------------------------
 
 PROPERTY = settings(
     max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
 )
+REL_TOL = 2e-13  # relative error allowed against the 50-digit reference
+FLOOR = 1e-300  # below it only smallness is checked
+
+
+def mp_tails(dof, stat):
+    """Chi-square P and Q at 50 digits, each from its own integral (1 - Q cancels)."""
+    with mpmath.workdps(50):
+        a, x = mpmath.mpf(dof) / 2, mpmath.mpf(stat) / 2
+        lower = mpmath.gammainc(a, 0, x, regularized=True)
+        upper = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+    return lower, upper
+
+
+def relative_error(got, ref):
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(got) - ref) / ref)
+
+
+def assert_matches_reference(got, ref):
+    if ref >= FLOOR:
+        assert relative_error(got, ref) <= REL_TOL, (got, ref)
+    else:
+        assert 0.0 <= got < 1.001 * FLOOR
+
+
+def mp_ndtri(p):
+    with mpmath.workdps(50):
+        return mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
 
 
 def reference_chi_square_table(counts):
     table = np.asarray(counts, dtype=float)
     table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
     if table.shape[0] < 2 or table.shape[1] < 2:
-        return 0.0, 0, 1.0
+        return 0.0, 0
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
     stat = float(((table - expected) ** 2 / expected).sum())
-    dof = (table.shape[0] - 1) * (table.shape[1] - 1)
-    return stat, dof, float(sstats.chi2.sf(stat, dof))
+    return stat, (table.shape[0] - 1) * (table.shape[1] - 1)
 
 
 @st.composite
@@ -272,8 +304,13 @@ def count_tables(draw):
 @example([[10, 30], [30, 10]])  # dof 1, p far in the tail
 @example([[1, 1], [1, 1]])  # statistic 0
 @example(np.arange(2000).reshape(2, 1000) % 7 + 1)  # dof 999
-def test_chi_square_table_equals_the_scipy_stats_reference(counts):
-    assert chi_square_table(counts) == reference_chi_square_table(counts)
+def test_chi_square_table_equals_the_reference_with_mpmath_tails(counts):
+    stat, dof, p = chi_square_table(counts)
+    assert (stat, dof) == reference_chi_square_table(counts)
+    if dof == 0:
+        assert p == 1.0
+    else:
+        assert_matches_reference(p, mp_tails(dof, stat)[1])
 
 
 @st.composite
@@ -294,25 +331,143 @@ def binary_streams(draw, min_size):
 @given(binary_streams(min_size=3000), st.integers(1, 100), st.sampled_from((0.01, 0.05)))
 @example(np.tile([1, 0, 0, 1], 750).astype(np.uint8), 2, 0.01)  # dof 1499, every block balanced
 @example(iid_stream(6000, 0.5, 3), 1, 0.01)  # dof 5999
-def test_block_variance_p_value_equals_the_scipy_stats_reference(bits, block_size, alpha):
+@example(np.tile([1, 0], 3000).astype(np.uint8), 3, 0.01)  # dof 1999, lower tail near 1e-189
+def test_block_variance_equals_the_reference_with_mpmath_tails(bits, block_size, alpha):
     if len(bits) // block_size < 30:
         block_size = len(bits) // 30
     report = block_variance_test(bits, block_size, alpha)
-    stat, dof = report.statistic, report.details["blocks"] - 1
-    lower = float(sstats.chi2.cdf(stat, dof))
-    upper = float(sstats.chi2.sf(stat, dof))
-    assert report.p_value == min(1.0, 2.0 * min(lower, upper))
+    m = len(bits) // block_size
+    counts = bits[: m * block_size].reshape(m, block_size).sum(axis=1).astype(float)
+    p_hat = float(counts.sum()) / (m * block_size)
+    stat = float(((counts - block_size * p_hat) ** 2).sum() / (block_size * p_hat * (1.0 - p_hat)))
+    assert (report.statistic, report.n, report.null_ref) == (
+        stat, m * block_size, f"chi2(df={m - 1}), two-sided"
+    )
+    assert report.details == {
+        "blocks": m, "block_size": block_size, "variance_ratio": stat / (m - 1), "p_hat": p_hat
+    }
+    lower, upper = mp_tails(m - 1, stat)
+    assert_matches_reference(report.p_value, min(1, 2 * min(lower, upper)))
+    assert report.reject == (report.p_value < alpha)
+
+
+def exact_autocorrelations(bits, max_lag):
+    # n * (bits - mean) is an integer vector, so its lagged dot products are exact
+    scaled = len(bits) * bits.astype(np.int64) - int(bits.sum())
+    zero_lag = int(np.dot(scaled, scaled))
+    return [Fraction(int(np.dot(scaled[:-k], scaled[k:])), zero_lag) for k in range(1, max_lag + 1)]
 
 
 @PROPERTY
 @given(binary_streams(min_size=100), st.integers(1, 60), st.sampled_from((0.01, 0.05, 0.001)))
 @example(np.tile([1, 0], 600).astype(np.uint8), 1, 0.01)  # dof 1, statistic far in the tail
-def test_autocorrelation_p_value_and_band_equal_the_scipy_stats_reference(bits, max_lag, alpha):
+def test_autocorrelation_equals_the_reference_with_mpmath_tail_and_band(bits, max_lag, alpha):
+    assume(0 < bits.sum() < len(bits))
     max_lag = min(max_lag, len(bits) // 100)
+    n = len(bits)
     report = autocorrelation_test(bits, max_lag, alpha)
-    assert report.p_value == float(sstats.chi2.sf(report.statistic, max_lag))
-    band = sstats.norm.ppf(1.0 - alpha / 2.0) / math.sqrt(len(bits))
-    assert report.details["band"] == float(band)
+    r = np.array([float(v) for v in exact_autocorrelations(bits, max_lag)])
+    lags = np.arange(1, max_lag + 1)
+    q = float(n * (n + 2.0) * np.sum(r**2 / (n - lags)))
+    assert (report.statistic, report.n, report.null_ref) == (q, n, f"chi2(df={max_lag}) (Ljung-Box)")
+    assert report.details["lags"] == lags.tolist()
+    assert report.details["autocorrelations"] == r.tolist()
+    assert_matches_reference(report.p_value, mp_tails(max_lag, q)[1])
+    band = mp_ndtri(1.0 - alpha / 2.0) / mpmath.sqrt(n)
+    assert_matches_reference(report.details["band"], band)
+
+
+@st.composite
+def chi_square_points(draw):
+    """A dof in 1-6000 (small ones often) and a statistic up to 60 SD from it, or anywhere."""
+    dof = draw(st.one_of(st.integers(1, 40), st.integers(1, 6000)))
+    if draw(st.booleans()):
+        z = draw(st.floats(-60.0, 60.0))
+        return dof, max(0.0, dof + z * math.sqrt(2.0 * dof))
+    return dof, draw(st.floats(0.0, 1e5))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(chi_square_points())
+@example((25, 0.001))  # 1 - Q in 50 digits would lose the whole of P here
+@example((120, 0.001))  # log1p(lam - 1) lost 3.9e-10 here
+@example((19, 1450.0))  # x >= 700 with a < 10
+@example((5999, 5999.0))
+def test_chi_square_tails_match_mpmath(point):
+    dof, stat = point
+    lower, upper = chi_square_tails(dof, stat)
+    ref_lower, ref_upper = mp_tails(dof, stat)
+    assert_matches_reference(lower, ref_lower)
+    assert_matches_reference(upper, ref_upper)
+
+
+def test_chi_square_tails_are_at_most_twice_as_far_from_mpmath_as_scipy():
+    from scipy.special import chdtr, chdtrc
+
+    dofs = (1, 2, 3, 5, 10, 19, 20, 21, 49, 120, 999, 2499, 5999)
+    zs = (-30, -12, -3, -1, 0, 1, 3, 12, 30, 60)
+    grid = {(d, max(0.001, d + z * math.sqrt(2.0 * d))) for d in dofs for z in zs}
+    grid |= {(25, 0.001), (120, 0.001), (19, 1450.0), (1, 1400.0), (2, 1500.0)}
+    ours = scipy = 0.0
+    for dof, stat in sorted(grid):
+        lower, upper = chi_square_tails(dof, stat)
+        for got, theirs, ref in zip(
+            (lower, upper), (chdtr(dof, stat), chdtrc(dof, stat)), mp_tails(dof, stat)
+        ):
+            if ref >= FLOOR:
+                ours = max(ours, relative_error(got, ref))
+                scipy = max(scipy, relative_error(float(theirs), ref))
+    assert ours <= REL_TOL
+    assert ours <= 2 * scipy
+
+
+@pytest.mark.parametrize("dof", [1, 2, 19, 20, 49, 5999])
+@pytest.mark.parametrize("stat", [0.0, 1e-300, 1e-3, 1.0, 20.0, 6000.0, 1e4, 1e6, 1e300])
+def test_chi_square_tails_stay_in_the_unit_interval(dof, stat):
+    lower, upper = chi_square_tails(dof, stat)
+    assert 0.0 <= lower <= 1.0 and 0.0 <= upper <= 1.0
+    if stat == 0.0:
+        assert (lower, upper) == (0.0, 1.0)
+
+
+@st.composite
+def binomial_cases(draw):
+    n = draw(st.integers(1, 29))
+    return n, draw(st.integers(0, n)), draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@PROPERTY
+@given(binomial_cases())
+@example((20, 15, 0.5))
+@example((7, 2, 0.25))  # pmf(1) == pmf(2) exactly
+@example((3, 1, 1 / 3))  # n * p0 rounds to k
+@example((29, 2, 1e-300))  # pmf(2) underflows
+def test_exact_binomial_p_value_equals_the_rational_reference(case):
+    n, k, p0 = case
+    p = exact_binomial_p_value(k, n, p0)
+    if k == n * p0:  # the rule's shortcut compares the float product
+        assert p == 1.0
+        return
+    # the same rule in exact rationals from the float p0
+    exact = [math.comb(n, i) * Fraction(p0) ** i * (1 - Fraction(p0)) ** (n - i) for i in range(n + 1)]
+    counted = {i for i, q in enumerate(exact) if q <= exact[k] * Fraction(1.0 + 1e-7)}
+    ref = min(Fraction(1), sum(exact[i] for i in counted))
+    pmf = binomial_pmf(n, p0)
+    if pmf[k] >= FLOOR:
+        assert {i for i, q in enumerate(pmf) if q <= pmf[k] * (1.0 + 1e-7)} == counted
+        assert abs(Fraction(p) - ref) <= Fraction(1e-13) * ref
+    else:  # every counted outcome is at most about as likely as k, which underflowed
+        assert 0.0 <= p < 31 * FLOOR
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.floats(1e-10, 1.0 - 1e-10))
+@example(0.5)
+@example(1.0 - 0.01 / 2.0)
+def test_normal_quantile_is_within_eight_ulps_of_mpmath(p):
+    got = NormalDist().inv_cdf(p)
+    ref = mp_ndtri(p)
+    assert abs(mpmath.mpf(got) - ref) <= 8 * math.ulp(float(ref))
 
 
 # --- autocorrelation test ----------------------------------------------------------------
@@ -342,11 +497,7 @@ def test_autocorrelations_are_the_exact_ratios_rounded_once(bits, max_lag):
     assume(0 < bits.sum() < len(bits))
     max_lag = min(max_lag, len(bits) // 100)
     report = autocorrelation_test(bits, max_lag)
-    # n * (bits - mean) is an integer vector, so its lagged dot products are exact
-    scaled = len(bits) * bits.astype(np.int64) - int(bits.sum())
-    zero_lag = int(np.dot(scaled, scaled))
-    exact = [Fraction(int(np.dot(scaled[:-k], scaled[k:])), zero_lag) for k in range(1, max_lag + 1)]
-    assert report.details["autocorrelations"] == [float(r) for r in exact]
+    assert report.details["autocorrelations"] == [float(r) for r in exact_autocorrelations(bits, max_lag)]
 
 
 def test_autocorrelation_preconditions():
