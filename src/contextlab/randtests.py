@@ -110,9 +110,9 @@ def _gamma_prefactor(a: float, x: float) -> float:
 
     Off the range where the float formula is good to a few ulps, its
     logarithm a ln(x/a) - (x - a) - c(a), with c(a) = ln Gamma(a + 1) - a ln a + a,
-    is formed in 40-digit `decimal` arithmetic.  In double precision the
-    rounding of those large terms costs up to 3.6e-13 relative in the far
-    tails at large dof; c(a) is small and needs only floats.
+    is formed in 40-digit `decimal` arithmetic: formed in floats, the
+    rounding of its large terms cost up to 3.6e-13 relative in the far tails
+    at large dof.  c(a) is small and needs only floats.
     """
     if a < 10.0 and x < 700.0:
         return math.exp(-x) * x**a / math.gamma(a + 1.0)

@@ -16,12 +16,24 @@ from contextlab.models import SettingPair
 from contextlab.simulate import read_stream_csv, stream_digest
 
 
-DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def run(argv, capsys=None):
     code = run_command(argv)
     return code
+
+
+def run_python(script: str, cwd) -> str:
+    """Run a script in a fresh interpreter that imports this checkout; its last stdout line."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -196,33 +208,20 @@ def test_importing_the_cli_and_generating_load_no_scipy(tmp_path):
         "    loaded.append(scipy())\n"
         "print(loaded)\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == str([False] * (len(commands) + 1))
+    assert run_python(script, tmp_path) == str([False] * (len(commands) + 1))
 
 
 def test_the_finite_oracle_driver_loads_no_scipy(tmp_path):
     from contextlab.models import random_model, save_model
 
     save_model(random_model(np.random.default_rng(4), n1=6, n2=6, n_inst=3), tmp_path / "m.json")
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
     script = (
         "import runpy, sys\n"
-        f"oracle = runpy.run_path({os.path.join(root, 'bench', 'finite_oracle.py')!r})\n"
+        f"oracle = runpy.run_path({str(ROOT / 'bench' / 'finite_oracle.py')!r})\n"
         "assert oracle['main'](['m.json', 'o.json', '--trials', '4000', '--seed', '1']) == 0\n"
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-        cwd=tmp_path, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert run_python(script, tmp_path) == "False"
     assert json.loads((tmp_path / "o.json").read_text())["no_signaling"]
 
 
