@@ -64,8 +64,8 @@ swapped = FiniteContextualModel(
     model.lambda1_space,
     model.lambda2_space,
     model.source_dist,
-    {x: model.tables(0, x) for x in (X0, X1)},
-    {y: other.tables(1, y) for y in other.bob_settings},
+    alice,
+    {y: other.tables(1, y)[:3] for y in other.bob_settings},  # (space, dist, outcome)
 )
 print("\nafter replacing every Bob table:")
 for x in (X0, X1):

@@ -282,23 +282,19 @@ def no_signaling_report(
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_phi(n_points: int) -> np.ndarray:
-    return (np.arange(n_points) + 0.5) * (math.pi / n_points)
-
-
 def model_curves(model, x: float, y: float, n_points: int = 200_001) -> dict:
     """Deterministic midpoint-rule values for one continuous-model pair.
 
     Returns raw/coincidence expectations, the joint detection rate and both
     post-selected marginals.
     """
-    phi = _midpoint_phi(n_points)
+    phi = (np.arange(n_points) + 0.5) * (math.pi / n_points)
     da = phi - x
     db = phi + math.pi / 2 - y
     ca = np.cos(2.0 * da)
     cb = np.cos(2.0 * db)
-    sa = model._survival(da, cos2=ca)
-    sb = model._survival(db, cos2=cb)
+    sa = model.survival(da, cos2=ca)
+    sb = model.survival(db, cos2=cb)
     w = sa * sb
     total = float(np.sum(w))
     rate = total / n_points
@@ -317,12 +313,11 @@ def quadrature_chsh(
     model,
     settings: Sequence[float] = DEFAULT_CHSH_SETTINGS,
     mode: str = "coincidence",
-    n_points: int = 200_001,
 ) -> float:
     a, ap, b, bp = settings
     key = "coincidence_expectation" if mode == "coincidence" else "raw_expectation"
     e = {
-        (xx, yy): model_curves(model, xx, yy, n_points)[key]
+        (xx, yy): model_curves(model, xx, yy)[key]
         for xx, yy in ((a, b), (a, bp), (ap, b), (ap, bp))
     }
     return e[(a, b)] - e[(a, bp)] + e[(ap, b)] + e[(ap, bp)]
@@ -369,7 +364,6 @@ def calibration_sweep(
     trials_per_point: int = 10**6,
     master_seed: int = 0,
     asymmetry: float = 0.0,
-    n_points: int = 200_001,
 ) -> SweepResult:
     """Coincidence-mode CHSH across the rejection-sharpness grid.
 
@@ -386,7 +380,7 @@ def calibration_sweep(
     rows = []
     for di, d in enumerate(d_grid):
         model = SelectiveModel(float(d), asymmetry)
-        s_quad = quadrature_chsh(model, settings, "coincidence", n_points)
+        s_quad = quadrature_chsh(model, settings, "coincidence")
         s_mc = 0.0
         min_rate = 1.0
         for pi, (xx, yy) in enumerate(pair_list):

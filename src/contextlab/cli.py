@@ -246,16 +246,15 @@ def write_report(doc: dict, path: Path, config: dict, sort_keys: bool = True) ->
     return path
 
 
-def emit_plot_data(results, path) -> Path:
-    """Write labeled whitespace-separated columns consumable by any plotter.
+def emit_plot_data(series, path) -> Path:
+    """Write a (header, rows) pair as labeled whitespace-separated columns.
 
-    Accepts a (header, rows) pair or an object with a .series() method.  A
-    missing value (None) is written as nan.
+    Any plotter can read them; a missing value (None) is written as nan.
     """
     def cell(v) -> str:
         return "nan" if v is None else repr(v) if isinstance(v, float) else str(v)
 
-    header, rows = results.series() if hasattr(results, "series") else results
+    header, rows = series
     p = out_path(path)
     with p.open("w") as fh:
         fh.write("# " + " ".join(str(h) for h in header) + "\n")
@@ -380,7 +379,7 @@ def cmd_sweep(v: dict, config: dict) -> int:
         doc["best_sharpness"] = doc.pop("best")["sharpness"]
         print(f"report: {write_report(doc, out_path(v['report']), config)}")
     if v["plot-data"]:
-        print(f"plot data: {emit_plot_data(result, v['plot-data'])}")
+        print(f"plot data: {emit_plot_data(result.series(), v['plot-data'])}")
     return 0
 
 
@@ -427,7 +426,6 @@ def cmd_coins_run(v: dict, config: dict) -> int:
     target = out_path(v["out"])
     if faces is not None:
         frequency = float(np.mean(faces == "B"))
-        summary["n"] = len(faces)
         summary["blue_frequency"] = frequency
         write_coin_csv(faces, target, summary)
         print(f"wrote {len(faces)} outcomes to {target} (blue frequency {frequency:.4f})")
@@ -511,7 +509,7 @@ def cmd_demo(v: dict, config: dict) -> int:
     sweep = calibration_sweep(
         trials_per_point=max(n // 10, 20000), master_seed=seed, asymmetry=0.25
     )
-    emit_plot_data(sweep, out_dir / "sweep.dat")
+    emit_plot_data(sweep.series(), out_dir / "sweep.dat")
     best = sweep.best
     print(
         f"best d = {best.sharpness:g}: |S| = {abs(best.s_quadrature):.3f} (quadrature) "

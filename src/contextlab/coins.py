@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, EmptyUrnError, StreamFormatError
 from .randtests import TestReport, two_proportion_test
 from .seeding import substream
-from .simulate import read_rows, write_rows
+from .simulate import check_sidecar, read_rows, write_rows
 
 FACES = ("B", "R")
 COIN_CSV_HEADER = ("trial", "outcome")
@@ -229,13 +229,17 @@ def hole_protocol(
 
 
 def write_coin_csv(faces: Sequence[str], path, metadata: dict | None = None) -> None:
+    """Write `trial,outcome` rows; `metadata`, with the row count `n`, goes to the sidecar."""
     faces = np.asarray(faces, dtype=str)
     trials = np.arange(len(faces))
+    metadata = None if metadata is None else {**metadata, "n": len(faces)}
     write_rows(path, COIN_CSV_HEADER, trials, faces.__getitem__, ",{}\r\n".format, metadata)
 
 
 def read_coin_csv(path) -> np.ndarray:
+    """Read a coin file; a sidecar, when present, must give its row count `n`."""
     faces = read_rows(path, COIN_CSV_HEADER, COIN_ROW)["outcome"]
+    check_sidecar(path, {"n": len(faces)})
     if not np.isin(faces, np.array(FACES, dtype="S1")).all():
         raise StreamFormatError(f"{path}: every outcome must be one of {FACES}")
     return faces.astype("U1")

@@ -11,9 +11,10 @@ A_x * B_y * P_x * P_y * P over Lambda1 x Lambda2 x Lambda_x x Lambda_y, and
 single-wing marginals sum the same factors with the other wing removed.
 Because A never references lambda_y and B never references lambda_x, the sums
 are evaluated as a factored contraction: per-source-value instrument
-reductions first, then the source contraction.  All reductions use math.fsum,
-which rounds the exact sum of its terms once, so results are deterministic
-bit-for-bit whatever the order of the terms.
+reductions first (computed once per setting, at construction), then the
+source contraction.  All reductions use math.fsum, which rounds the exact sum
+of its terms once, so results are deterministic bit-for-bit whatever the order
+of the terms.
 
 Probability tables are validated against a 1e-12 normalization tolerance and
 then renormalized so that their compensated float sum is exactly 1.0; this
@@ -125,16 +126,28 @@ def _validated_outcomes(table, n_source: int, n_inst: int, name: str) -> np.ndar
     return as_int
 
 
-class WingTables(NamedTuple):
-    """Instrument data bound to one setting of one wing.
+def _fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-D array."""
+    return np.array([math.fsum(row) for row in terms.tolist()])
 
-    `outcome[i, k]` is the registered outcome for source value i and
-    instrument value k; `dist[k]` is the instrument distribution.
+
+class WingTables(NamedTuple):
+    """Instrument data bound to one setting of one wing, with its reductions.
+
+    The first three fields are the (space, dist, outcome) triple that the
+    model's constructor takes: `outcome[i, k]` is the registered outcome for
+    source value i and instrument value k, `dist[k]` the instrument
+    distribution.  The rest is derived from them at construction: `cum`, the
+    CDF of `dist`; `response[i]`, fsum_k outcome[i, k] * dist[k]; and
+    `detection[i]`, fsum_k [outcome[i, k] != 0] * dist[k].
     """
 
     space: tuple
     dist: np.ndarray
     outcome: np.ndarray
+    cum: np.ndarray
+    response: np.ndarray
+    detection: np.ndarray
 
 
 def _check_wing(wing) -> None:
@@ -146,9 +159,9 @@ class FiniteContextualModel:
     """Discrete source/instrument spaces with per-setting outcome tables.
 
     `alice` and `bob` map each declared setting (radians, normalized to
-    [0, 2*pi)) to its `WingTables` or a (space, dist, outcome) tuple; they
-    are stored as wings 0 and 1.  The source distribution is shared by all
-    setting pairs and never indexed by a setting.
+    [0, 2*pi)) to its (space, dist, outcome) tables; they are stored as
+    wings 0 and 1, each setting as a `WingTables`.  The source distribution
+    is shared by all setting pairs and never indexed by a setting.
     """
 
     def __init__(
@@ -172,7 +185,6 @@ class FiniteContextualModel:
         self._wings = tuple(map(self._build_wing, (alice, bob), (n1, n2), WINGS))
         self._cum_source = np.cumsum(self.source_dist.ravel())
         self._cum_source[-1] = 1.0
-        self._sampling_cache: dict = {}
 
     @staticmethod
     def _build_wing(tables, n_source: int, wing: str) -> dict[float, WingTables]:
@@ -185,7 +197,12 @@ class FiniteContextualModel:
             if dist.ndim != 1 or len(dist) != len(tuple(space)):
                 raise ModelValidationError(f"{name}: dist length != space size")
             outcome = _validated_outcomes(outcome, n_source, len(dist), name)
-            built[s] = WingTables(tuple(space), dist, outcome)
+            cum = np.cumsum(dist)
+            cum[-1] = 1.0  # so uniform draws in [0, 1) always land inside the table
+            derived = cum, _fsum_rows(outcome * dist), _fsum_rows((outcome != 0) * dist)
+            for array in derived:
+                array.setflags(write=False)
+            built[s] = WingTables(tuple(space), dist, outcome, *derived)
         return built
 
     @property
@@ -217,16 +234,11 @@ class FiniteContextualModel:
     def sampling_tables(self, wing: int, setting: float):
         """Instrument CDF and outcome table of wing 0 (Alice) or 1 (Bob) at one setting.
 
-        Cached per (wing, setting); the final cumulative entry is pinned to 1.0
-        so uniform draws in [0, 1) always land inside the table.
+        Both are built once, at construction; the final cumulative entry is
+        pinned to 1.0 so uniform draws in [0, 1) always land inside the table.
         """
-        key = (wing, normalize_angle(setting))
-        if key not in self._sampling_cache:
-            tables = self.tables(wing, setting)
-            cum = np.cumsum(tables.dist)
-            cum[-1] = 1.0
-            self._sampling_cache[key] = (cum, tables.outcome)
-        return self._sampling_cache[key]
+        tables = self.tables(wing, setting)
+        return tables.cum, tables.outcome
 
     def outcomes(self, wing: int, src, settings, index, u) -> np.ndarray:
         """One wing's outcomes, trials grouped by that wing's own setting."""
@@ -253,17 +265,6 @@ class FiniteContextualModel:
 # ---------------------------------------------------------------------------
 
 
-def _response(tables: WingTables) -> np.ndarray:
-    """Mean outcome per source value: fsum_k outcome[i, k] * dist[k], exact products."""
-    return np.array([math.fsum(row) for row in (tables.outcome * tables.dist).tolist()])
-
-
-def _detection(tables: WingTables) -> np.ndarray:
-    """Detection probability per source value: fsum of dist over outcome != 0."""
-    detected = (tables.outcome != 0) * tables.dist
-    return np.array([math.fsum(row) for row in detected.tolist()])
-
-
 def _source_contract(source: np.ndarray, a_factor: np.ndarray, b_factor: np.ndarray) -> float:
     """fsum of source[i, j] * a_factor[i] * b_factor[j] over terms formed by numpy.
 
@@ -277,9 +278,8 @@ def pair_expectation(model: FiniteContextualModel, x: float, y: float) -> float:
 
     Non-detections enter as 0, so this is the raw (unconditioned) value.
     """
-    abar = _response(model.tables(0, x))
-    bbar = _response(model.tables(1, y))
-    return _source_contract(model.source_dist, abar, bbar)
+    at, bt = model.tables(0, x), model.tables(1, y)
+    return _source_contract(model.source_dist, at.response, bt.response)
 
 
 def marginal(model: FiniteContextualModel, wing: int, setting: float) -> float:
@@ -288,15 +288,24 @@ def marginal(model: FiniteContextualModel, wing: int, setting: float) -> float:
     The other wing enters only as a factor of ones: it is never referenced.
     """
     factors = [np.ones(n) for n in model.source_dist.shape]
-    factors[wing] = _response(model.tables(wing, setting))
+    factors[wing] = model.tables(wing, setting).response
     return _source_contract(model.source_dist, *factors)
 
 
 def joint_detection_probability(model: FiniteContextualModel, x: float, y: float) -> float:
     """Probability that both wings register a nonzero outcome at (x, y)."""
-    sa = _detection(model.tables(0, x))
-    sb = _detection(model.tables(1, y))
-    return _source_contract(model.source_dist, sa, sb)
+    at, bt = model.tables(0, x), model.tables(1, y)
+    return _source_contract(model.source_dist, at.detection, bt.detection)
+
+
+def _conditioning_probability(model: FiniteContextualModel, x: float, y: float) -> float:
+    """`joint_detection_probability`, refused when a conditional on it is undefined."""
+    denom = joint_detection_probability(model, x, y)
+    if denom <= 0.0:
+        raise UndefinedConditionalError(
+            f"no joint detections at (x={x!r}, y={y!r}); conditional undefined"
+        )
+    return denom
 
 
 def coincidence_expectation(model: FiniteContextualModel, x: float, y: float) -> float:
@@ -306,11 +315,7 @@ def coincidence_expectation(model: FiniteContextualModel, x: float, y: float) ->
     the same contraction as `pair_expectation`; only the normalization by the
     joint detection probability differs.
     """
-    denom = joint_detection_probability(model, x, y)
-    if denom <= 0.0:
-        raise UndefinedConditionalError(
-            f"no joint detections at (x={x!r}, y={y!r}); conditional undefined"
-        )
+    denom = _conditioning_probability(model, x, y)
     return pair_expectation(model, x, y) / denom
 
 
@@ -321,14 +326,9 @@ def postselected_marginal(model: FiniteContextualModel, x: float, y: float, wing
     reweights the source values by the other wing's detection profile.
     """
     _check_wing(wing)
-    tables = model.tables(0, x), model.tables(1, y)
-    factors = [_detection(t) for t in tables]
-    denom = _source_contract(model.source_dist, *factors)
-    if denom <= 0.0:
-        raise UndefinedConditionalError(
-            f"no joint detections at (x={x!r}, y={y!r}); conditional undefined"
-        )
-    factors[wing] = _response(tables[wing])
+    denom = _conditioning_probability(model, x, y)
+    factors = [model.tables(0, x).detection, model.tables(1, y).detection]
+    factors[wing] = model.tables(wing, (x, y)[wing]).response
     return _source_contract(model.source_dist, *factors) / denom
 
 

@@ -478,14 +478,13 @@ class BreakdownReport:
     homogeneity_alpha: float
 
 
+BREAKDOWN_CI_LEVEL = 0.95
+BREAKDOWN_SUBSAMPLES = 10
+BREAKDOWN_ALPHA = 0.01
+
+
 def inhomogeneity_breakdown_demo(
-    regimes: Sequence[float],
-    n: int,
-    seed: int,
-    replications: int = 1000,
-    ci_level: float = 0.95,
-    n_subsamples: int = 10,
-    homogeneity_alpha: float = 0.01,
+    regimes: Sequence[float], n: int, seed: int, replications: int = 1000
 ) -> BreakdownReport:
     """Replicate a multi-regime stream and score naive CI coverage.
 
@@ -498,11 +497,11 @@ def inhomogeneity_breakdown_demo(
     if len(regimes) < 2:
         raise InsufficientDataError("need at least two regimes")
     seg = n // len(regimes)
-    if seg * n_subsamples < MIN_SUBSAMPLE * n_subsamples:
+    if seg * len(regimes) < MIN_SUBSAMPLE * BREAKDOWN_SUBSAMPLES:
         raise InsufficientDataError("stream too short for the demonstration")
     rng = np.random.default_rng(seed)
     from statistics import NormalDist
-    z = NormalDist().inv_cdf(0.5 + ci_level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + BREAKDOWN_CI_LEVEL / 2.0)
     covered = np.zeros(len(regimes))
     rejected = 0
     pooled_sum = 0.0
@@ -515,15 +514,15 @@ def inhomogeneity_breakdown_demo(
         half = z * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / total)
         covered += [(p_hat - half <= p <= p_hat + half) for p in regimes]
         pooled_sum += p_hat
-        if homogeneity_test(stream, n_subsamples, homogeneity_alpha).reject:
+        if homogeneity_test(stream, BREAKDOWN_SUBSAMPLES, BREAKDOWN_ALPHA).reject:
             rejected += 1
     return BreakdownReport(
         regimes=regimes,
         n=total,
         replications=replications,
-        nominal_coverage=ci_level,
+        nominal_coverage=BREAKDOWN_CI_LEVEL,
         coverage=tuple(covered / replications),
         mean_pooled_estimate=pooled_sum / replications,
         homogeneity_rejection_rate=rejected / replications,
-        homogeneity_alpha=homogeneity_alpha,
+        homogeneity_alpha=BREAKDOWN_ALPHA,
     )

@@ -83,11 +83,9 @@ class SelectiveModel:
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be a finite number >= 0")
 
-    def survival(self, delta):
-        return self._survival(np.asarray(delta, dtype=float))
-
-    def _survival(self, delta, cos=None, cos2=None):
-        """`survival` of a float array, reusing a caller's np.cos(delta) or np.cos(2.0 * delta)."""
+    def survival(self, delta, cos=None, cos2=None):
+        """Detection probability at `delta`, reusing a caller's np.cos(delta) or np.cos(2 * delta)."""
+        delta = np.asarray(delta, dtype=float)
         if self.sharpness == 0.0:  # x ** 0.0 == 1.0 for every float, nan included
             return np.ones_like(delta)
         base = np.abs(np.cos(2.0 * delta) if cos2 is None else cos2)
@@ -129,7 +127,7 @@ def wing_outcome(model, lam, setting, u) -> np.ndarray:
     """
     delta = np.asarray(lam, dtype=float) - np.asarray(setting, dtype=float)
     cos = np.cos(delta)
-    sp = model._survival(delta, cos)
+    sp = model.survival(delta, cos)
     u = np.asarray(u, dtype=float)
     return 2 * (u < sp * cos**2).view(np.int8) - (u < sp).view(np.int8)
 
@@ -494,19 +492,24 @@ def write_stream_csv(stream: TrialStream, path, metadata: dict | None = None) ->
     write_rows(path, CSV_HEADER, stream.trial, cells, tail, metadata)
 
 
-def read_stream_csv(path) -> TrialStream:
-    """Read a stream file; a sidecar, when present, must agree with it."""
-    rows = read_rows(path, CSV_HEADER, STREAM_ROW)
+def check_sidecar(path, expected: dict) -> None:
+    """Raise `StreamFormatError` unless `path`'s sidecar, if any, holds `expected`'s items."""
     meta = meta_path(path)
     if meta.exists():
         try:
             doc = json.loads(meta.read_text())
         except ValueError as exc:
             raise StreamFormatError(f"{meta}: {exc}") from None
-        expected = {"format": STREAM_FORMAT, "columns": list(CSV_HEADER), "n_trials": len(rows)}
         found = {key: doc.get(key) for key in expected} if isinstance(doc, dict) else doc
         if found != expected:
             raise StreamFormatError(f"{meta}: sidecar has {found}, the file {expected}")
+
+
+def read_stream_csv(path) -> TrialStream:
+    """Read a stream file; a sidecar, when present, must agree with it."""
+    rows = read_rows(path, CSV_HEADER, STREAM_ROW)
+    expected = {"format": STREAM_FORMAT, "columns": list(CSV_HEADER), "n_trials": len(rows)}
+    check_sidecar(path, expected)
     return TrialStream(*(rows[name] for name in CSV_HEADER))
 
 

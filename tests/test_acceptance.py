@@ -130,7 +130,7 @@ def test_criterion_2_raw_no_signaling_exactness():
     # (a) each wing's marginals are bit-identical under arbitrary replacements
     # of the other wing's tables
     def wing_tables(m, wing):
-        return {s: m.tables(wing, s) for s in (m.alice_settings, m.bob_settings)[wing]}
+        return {s: m.tables(wing, s)[:3] for s in (m.alice_settings, m.bob_settings)[wing]}
 
     for seed in range(20):
         model = random_model(np.random.default_rng(seed))

@@ -654,6 +654,20 @@ def test_coins_run_hole_protocol_summary(tmp_path):
     assert "test" in doc
 
 
+@pytest.mark.parametrize(
+    "kind, make",
+    [("coins", ["coins-run", "--experiment", "e3", "--n", "5000"]),
+     ("bell", ["bell-run", "--n-trials", "5000"])],
+)
+def test_a_file_cut_short_of_its_sidecar_is_a_data_error(tmp_path, capsys, kind, make):
+    path = tmp_path / "s.csv"
+    assert run(make + ["--out", str(path)]) == 0
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    assert run(["stream-test", "--stream", str(path), "--kind", kind]) == 2
+    assert "sidecar has" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 @pytest.mark.parametrize(
     "experiment, flag",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from contextlab import models
 from contextlab.errors import (
     ModelValidationError,
     UndefinedConditionalError,
@@ -50,7 +51,8 @@ def wing_settings(model, wing):
 
 
 def wing_tables(model, wing):
-    return {s: model.tables(wing, s) for s in wing_settings(model, wing)}
+    """Each setting's (space, dist, outcome) triple, as the constructor takes them."""
+    return {s: model.tables(wing, s)[:3] for s in wing_settings(model, wing)}
 
 
 def with_wing(model, wing, tables):
@@ -64,7 +66,7 @@ def with_wing(model, wing, tables):
 
 def all_plus(tables):
     """The same tables with every outcome +1."""
-    return {s: t._replace(outcome=np.ones_like(t.outcome)) for s, t in tables.items()}
+    return {s: (space, dist, np.ones_like(outcome)) for s, (space, dist, outcome) in tables.items()}
 
 
 # --- independent oracles -----------------------------------------------------
@@ -159,6 +161,40 @@ def test_probability_tables_sum_to_exactly_one():
         assert math.fsum(m.tables(0, x).dist) == 1.0
 
 
+def test_sampling_cdfs_end_at_exactly_one():
+    # np.cumsum([0.1] * 10) ends at 0.9999999999999999, so without the pinned last
+    # entry the largest uniform below 1 would index past the source and instrument tables
+    tenths = [0.1] * 10
+    assert math.fsum(tenths) == 1.0 and np.cumsum(tenths)[-1] < 1.0
+    last = [[0] * 9 + [1]]
+    m = FiniteContextualModel(
+        (0,), range(10), [tenths], {X0: (range(10), tenths, last)}, {Y0: ((0,), [1.0], [[1]] * 10)}
+    )
+    u = np.array([np.nextafter(1.0, 0.0)])
+    i1, i2 = m.source(u)
+    assert (i1.tolist(), i2.tolist()) == ([0], [9])
+    assert m.sampling_tables(0, X0)[0][-1] == 1.0
+    assert m.outcomes(0, i1, (X0,), np.array([0]), u).tolist() == [1]
+
+
+def test_instrument_reductions_are_formed_once_at_construction(monkeypatch):
+    calls = []
+    fsum_rows = models._fsum_rows
+    monkeypatch.setattr(models, "_fsum_rows", lambda terms: calls.append(1) or fsum_rows(terms))
+    m = random_model(np.random.default_rng(11), n1=3, n2=4, n_inst=3)
+    assert len(calls) == 2 * (len(m.alice_settings) + len(m.bob_settings))
+    for _ in range(2):
+        for x in m.alice_settings:
+            for y in m.bob_settings:
+                exact_values(m, x, y)
+    assert len(calls) == 2 * (len(m.alice_settings) + len(m.bob_settings))
+    for wing in (0, 1):
+        for t in (m.tables(wing, s) for s in wing_settings(m, wing)):
+            assert np.array_equal(t.response, ref_response(t))
+            assert np.array_equal(t.detection, ref_detection(t))
+            assert not any(a.flags.writeable for a in (t.cum, t.response, t.detection))
+
+
 def test_unknown_setting_raises():
     m = constant_model(1, 1)
     with pytest.raises(UnknownSettingError):
@@ -187,7 +223,7 @@ def test_tables_and_marginal_reject_a_wing_outside_zero_and_one(wing):
 )
 def test_non_finite_colliding_and_missing_settings_are_refused(settings):
     good = constant_model(1, 1)
-    alice = {s: good.tables(0, X0) for s in settings}
+    alice = {s: good.tables(0, X0)[:3] for s in settings}
     with pytest.raises(ModelValidationError, match="alice: settings"):
         FiniteContextualModel((0, 1), (0, 1), good.source_dist, alice, wing_tables(good, 1))
     with pytest.raises(ModelValidationError, match="alice: settings"):
@@ -426,7 +462,7 @@ def test_model_dict_rejects_bad_format():
 def test_shared_space_model_has_no_zeros_and_common_instruments():
     m = shared_space_model(np.random.default_rng(3))
     for wing in (0, 1):
-        tables = list(wing_tables(m, wing).values())
+        tables = [m.tables(wing, s) for s in wing_settings(m, wing)]
         assert np.array_equal(tables[0].dist, tables[1].dist)
         assert all(np.all(t.outcome != 0) for t in tables)
 
