@@ -16,7 +16,7 @@ from contextlab.analysis import (
     estimate_correlations,
     quadrature_chsh,
 )
-from contextlab.simulate import MalusModel, SettingsSchedule, run_experiment
+from contextlab.simulate import MalusModel, SettingsSchedule, run_counts
 
 model = MalusModel()
 n = 200_000
@@ -25,8 +25,8 @@ print(f"{'theta':>8} {'estimate':>10} {'target':>10} {'diff':>9}")
 for k in range(8):
     theta = k * math.pi / 8
     schedule = SettingsSchedule("cycle", (theta,), (0.0,))
-    stream = run_experiment(model, schedule, n, master_seed=(2, k))
-    est = next(iter(estimate_correlations(stream).values()))
+    folded = run_counts(model, schedule, n, master_seed=(2, k))
+    est = next(iter(estimate_correlations(folded).values()))
     target = -0.5 * math.cos(2 * theta)
     print(
         f"{theta:8.4f} {est.raw_expectation:10.4f} {target:10.4f} "
@@ -37,8 +37,8 @@ for k in range(8):
 a, ap, b, bp = DEFAULT_CHSH_SETTINGS
 estimates = {}
 for idx, (x, y) in enumerate(((a, b), (a, bp), (ap, b), (ap, bp))):
-    stream = run_experiment(model, SettingsSchedule("cycle", (x,), (y,)), n, (3, idx))
-    estimates.update(estimate_correlations(stream))
+    folded = run_counts(model, SettingsSchedule("cycle", (x,), (y,)), n, (3, idx))
+    estimates.update(estimate_correlations(folded))
 result = chsh(estimates, a, ap, b, bp, mode="raw")
 print(f"\nCHSH |S| = {abs(result.s_value):.4f} +- {result.se:.4f}")
 print(f"quadrature value:  {abs(quadrature_chsh(model, mode='raw')):.4f}")

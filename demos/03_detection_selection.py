@@ -16,7 +16,7 @@ from contextlab.analysis import (
     calibration_sweep,
     no_signaling_report,
 )
-from contextlab.simulate import SelectiveModel, SettingsSchedule, run_experiment
+from contextlab.simulate import SelectiveModel, SettingsSchedule, run_counts
 
 ETA = 0.25  # asymmetry exponent; 0 would keep post-selected singles flat
 
@@ -38,8 +38,8 @@ print(
 a, ap, b, bp = DEFAULT_CHSH_SETTINGS
 model = SelectiveModel(best.sharpness, ETA)
 schedule = SettingsSchedule("random", (a, ap), (b, bp), seed=7)
-stream = run_experiment(model, schedule, 400_000, master_seed=8)
-report = no_signaling_report(stream, alpha_raw=0.01, alpha_postselected=0.001)
+folded = run_counts(model, schedule, 400_000, master_seed=8)
+report = no_signaling_report(folded, alpha_raw=0.01, alpha_postselected=0.001)
 
 print("\nraw singles across the counterpart's settings (must stay flat):")
 for t in report.raw_tests:

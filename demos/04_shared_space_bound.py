@@ -19,7 +19,7 @@ from contextlab.analysis import (
     lhv_bound_enumeration,
 )
 from contextlab.models import shared_space_model
-from contextlab.simulate import SettingsSchedule, run_experiment
+from contextlab.simulate import SettingsSchedule, run_counts
 
 result = lhv_bound_enumeration()
 print(" A(a) A(a') B(b) B(b')     S")
@@ -33,8 +33,8 @@ print("\nstreams from random shared-space models (20k trials each):")
 for seed in range(8):
     model = shared_space_model(np.random.default_rng(seed))
     schedule = SettingsSchedule("random", (a, ap), (b, bp), seed=100 + seed)
-    stream = run_experiment(model, schedule, 20_000, master_seed=seed)
-    r = chsh(estimate_correlations(stream), a, ap, b, bp, "raw")
+    folded = run_counts(model, schedule, 20_000, master_seed=seed)
+    r = chsh(estimate_correlations(folded), a, ap, b, bp, "raw")
     print(
         f"  seed {seed}: S = {r.s_value:+.4f} +- {r.se:.4f}   "
         f"|S| <= 2 + 5 SE: {abs(r.s_value) <= 2 + 5 * r.se}"

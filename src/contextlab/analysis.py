@@ -2,7 +2,8 @@
 
 Every Bell estimate is a function of the outcome-count tensor
 `counts[x, y, a, b]` of `simulate.PairCounts`, folded from a stream by
-`PairCounts.from_stream` or from generated chunks by `simulate.run_counts`.
+`PairCounts.from_stream`, from a stream file's blocks by
+`PairCounts.from_blocks` or from generated chunks by `simulate.run_counts`.
 The raw expectation keeps non-detections in the product (a zero outcome
 contributes a zero product), which puts the estimator on the same footing as
 the exact finite-model contraction; the coincidence expectation conditions on

@@ -63,11 +63,9 @@ from .simulate import (
     PairCounts,
     SelectiveModel,
     SettingsSchedule,
-    read_stream_csv,
+    read_stream_blocks,
     run_counts,
-    run_experiment,
-    stream_metadata,
-    write_stream_csv,
+    write_run_csv,
 )
 
 
@@ -281,16 +279,15 @@ def cmd_bell_run(v: dict, config: dict) -> int:
         v["schedule"], v["x-settings"], v["y-settings"], seed=v["schedule-seed"]
     )
     n, seed, chunk_size = v["n-trials"], v["master-seed"], v["chunk-size"]
-    stream = run_experiment(model, schedule, n, seed, chunk_size)
     target = out_path(v["out"])
-    write_stream_csv(stream, target, stream_metadata(model, schedule, n, seed, chunk_size))
-    print(f"wrote {len(stream)} trials to {target}")
+    write_run_csv(target, model, schedule, n, seed, chunk_size)
+    print(f"wrote {n} trials to {target}")
     print(f"effective config: {write_effective_config(config, target)}")
     return 0
 
 
 def cmd_bell_analyze(v: dict, config: dict) -> int:
-    folded = PairCounts.from_stream(read_stream_csv(v["stream"]))
+    folded = PairCounts.from_blocks(read_stream_blocks(v["stream"]))
     estimates = estimate_correlations(folded)
 
     print(f"{'x':>10} {'y':>10} {'n':>8} {'raw E':>9} {'raw SE':>8} {'coinc E':>9} {'coinc SE':>9}")
@@ -453,9 +450,9 @@ def cmd_stream_test(v: dict, config: dict) -> int:
         faces = read_coin_csv(v["stream"])
         reports = [TESTS[name](faces, v) for name in v["tests"]]
     else:
-        stream = read_stream_csv(v["stream"])
         wing = v["wing"].upper()
-        indicators = ternary_to_indicators(stream.a if wing == "A" else stream.b)
+        column = [s.a if wing == "A" else s.b for s in read_stream_blocks(v["stream"])]
+        indicators = ternary_to_indicators(np.concatenate([np.empty(0, np.int8), *column]))
         # an outcome the wing never gives has no stream to test
         doc["absent_outcomes"] = [symbol for symbol, bits in indicators.items() if not bits.any()]
         reports = [

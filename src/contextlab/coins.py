@@ -231,14 +231,14 @@ def hole_protocol(
 def write_coin_csv(faces: Sequence[str], path, metadata: dict | None = None) -> None:
     """Write `trial,outcome` rows; `metadata`, with the row count `n`, goes to the sidecar."""
     faces = np.asarray(faces, dtype=str)
-    trials = np.arange(len(faces))
     metadata = None if metadata is None else {**metadata, "n": len(faces)}
-    write_rows(path, COIN_CSV_HEADER, trials, faces.__getitem__, ",{}\r\n".format, metadata)
+    write_rows(path, COIN_CSV_HEADER, [(np.arange(len(faces)), faces)], ",{}\r\n".format, metadata)
 
 
 def read_coin_csv(path) -> np.ndarray:
     """Read a coin file; a sidecar, when present, must give its row count `n`."""
-    faces = read_rows(path, COIN_CSV_HEADER, COIN_ROW)["outcome"]
+    blocks = [rows["outcome"] for rows in read_rows(path, COIN_CSV_HEADER, COIN_ROW)]
+    faces = np.concatenate([np.empty(0, COIN_ROW["outcome"]), *blocks])
     check_sidecar(path, {"n": len(faces)})
     if not np.isin(faces, np.array(FACES, dtype="S1")).all():
         raise StreamFormatError(f"{path}: every outcome must be one of {FACES}")

@@ -30,14 +30,14 @@ is -cos(2(x-y))/2.
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import io
 import json
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +54,8 @@ from .models import (
 from .seeding import STREAM_ALICE, STREAM_BOB, STREAM_SETTINGS, STREAM_SOURCE, substream
 
 DEFAULT_CHUNK_SIZE = 65536
+READ_BLOCK_BYTES = 1 << 18  # a stream file is parsed this many bytes at a time
+WRITE_BATCH_ROWS = 1 << 14  # and its text is built this many rows at a time
 STREAM_FORMAT = "trial-stream/1"
 CSV_HEADER = ("trial", "x_rad", "y_rad", "a", "b")
 STREAM_ROW = np.dtype(list(zip(CSV_HEADER, ("i8", "f8", "f8", "i1", "i1"))))
@@ -202,6 +204,26 @@ class PairCounts:
         ys, yi = _setting_index(stream.y)
         return _fold(xs, ys, [(xi, yi, stream.a, stream.b)])
 
+    @classmethod
+    def from_blocks(cls, streams) -> "PairCounts":
+        """`from_stream` of the concatenated `streams`, folded one stream at a time.
+
+        Each block's counts are keyed by their normalized setting pair, in order
+        of first appearance; the tables are the sorted settings that occur.
+        """
+        cells: dict[tuple[float, float], np.ndarray] = {}
+        for part in map(cls.from_stream, streams):
+            for i, j in part.pairs:
+                key = (part.x_settings[i], part.y_settings[j])
+                cells[key] = cells.get(key, 0) + part.counts[i, j]
+        xs, ys = sorted({x for x, _ in cells}), sorted({y for _, y in cells})
+        xi, yi = ({v: i for i, v in enumerate(table)} for table in (xs, ys))
+        counts = np.zeros((len(xs), len(ys), 3, 3), dtype=np.int64)
+        for (x, y), cell in cells.items():
+            counts[xi[x], yi[y]] = cell
+        pairs = tuple((xi[x], yi[y]) for x, y in cells)
+        return cls(tuple(xs), tuple(ys), counts, pairs)
+
 
 def _setting_index(column: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
     """Distinct normalized settings of a column and each trial's index into them."""
@@ -221,7 +243,7 @@ def _fold(x_settings, y_settings, chunks) -> PairCounts:
     order: list[int] = []
     for xi, yi, a, b in chunks:
         pair = xi * ny + yi
-        chunk = np.bincount((pair * 3 + a + 1) * 3 + b + 1, minlength=flat.size)
+        chunk = np.bincount(_cell_codes(pair, a, b), minlength=flat.size)
         flat += chunk
         new = chunk.reshape(-1, 9).any(axis=1)
         new[order] = False
@@ -231,6 +253,22 @@ def _fold(x_settings, y_settings, chunks) -> PairCounts:
             order += codes[fresh][np.argsort(first[fresh])].tolist()
     pairs = tuple(divmod(p, ny) for p in order)
     return PairCounts(tuple(x_settings), tuple(y_settings), flat.reshape(nx, ny, 3, 3), pairs)
+
+
+def _cell_codes(pair, a, b) -> np.ndarray:
+    """Cell code (pair*3 + a+1)*3 + b+1 of each trial, pair = xi*ny + yi."""
+    return (pair * 3 + a + 1) * 3 + b + 1
+
+
+def _cell_tail(x_settings, y_settings):
+    """Cell code -> the row text after the trial index: settings by repr, outcomes, CRLF."""
+    ny = len(y_settings)
+
+    def tail(c):
+        x, y = x_settings[c // 9 // ny], y_settings[c // 9 % ny]
+        return f",{x!r},{y!r},{c // 3 % 3 - 1},{c % 3 - 1}\r\n"
+
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -425,50 +463,85 @@ def meta_path(path) -> Path:
     return p.with_suffix(p.suffix + ".meta.json")
 
 
-def write_rows(path, header, keys, cells, tail, metadata: dict | None = None) -> None:
-    """Write `header` and, per row, its key then `tail(code)` for its cell code.
+def write_rows(path, header, blocks, tail, metadata: dict | None = None) -> None:
+    """Write `header` and, per `(keys, codes)` block, each row's key then `tail(code)`.
 
-    `cells(rows)` codes the rows of the slice `rows`, one chunk at a time; each
-    distinct code's tail (the other fields and CRLF, unquoted as `csv.writer`
-    writes them) is formatted once.  `metadata` goes to the JSON sidecar.
+    Blocks are written in batches of `WRITE_BATCH_ROWS` rows; each distinct code's
+    tail (the other fields and CRLF, unquoted as `csv.writer` writes them) is
+    formatted once.  `metadata` goes to the JSON sidecar.
     """
-    tail = functools.cache(tail)
+    text: dict = {}
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(keys), DEFAULT_CHUNK_SIZE):
-            rows = slice(start, start + DEFAULT_CHUNK_SIZE)
-            codes, inverse = np.unique(cells(rows), return_inverse=True)
-            text = [tail(code) for code in codes.tolist()]
-            chunk = zip(keys[rows].tolist(), inverse.tolist())
-            fh.write("".join([f"{key}{text[i]}" for key, i in chunk]))
+        for keys, codes in blocks:
+            for start in range(0, len(keys), WRITE_BATCH_ROWS):
+                rows = slice(start, start + WRITE_BATCH_ROWS)
+                batch = codes[rows].tolist()
+                text.update((code, tail(code)) for code in set(batch).difference(text))
+                lines = zip(keys[rows].tolist(), batch)
+                fh.write("".join([str(key) + text[code] for key, code in lines]))
     if metadata is not None:
         meta_path(path).write_text(json.dumps(metadata, indent=1, sort_keys=True))
 
 
-def read_rows(path, header, dtype) -> np.ndarray:
-    """The rows after `header`, parsed by one `np.loadtxt` call into `dtype`.
+def read_rows(path, header, dtype) -> Iterator[np.ndarray]:
+    """Yield the rows after `header` in blocks of whole lines, each parsed by `np.loadtxt`.
 
-    A wrong header, a malformed row and a blank line (which `loadtxt` would skip,
-    so lines are counted) are each a `StreamFormatError`.
+    About `READ_BLOCK_BYTES` are read at a time and cut after the last newline.
+    A wrong header, a malformed row and a blank line (which `loadtxt` would
+    skip, so each block's lines are counted) are each a `StreamFormatError`.
     """
     with open(path, "rb") as fh:
         found = fh.readline().rstrip(b"\r\n")
         if found != ",".join(header).encode():
             raise StreamFormatError(f"{path}: expected header {','.join(header)}, got {found!r}")
-        body, lines, end = fh.tell(), 0, b"\n"
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            lines, end = lines + block.count(b"\n"), block[-1:]
-        lines += end != b"\n"
-        fh.seek(body)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows is an empty table
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            raise StreamFormatError(f"{path}: malformed row: {exc}") from None
+        rest = b""
+        for data in iter(lambda: fh.read(READ_BLOCK_BYTES), b""):
+            data = rest + data
+            cut = data.rfind(b"\n") + 1
+            block, rest = data[:cut], data[cut:]
+            if block:
+                yield _parse_block(path, block, dtype)
+        if rest:  # an unterminated last row
+            yield _parse_block(path, rest, dtype)
+
+
+def _parse_block(path, block: bytes, dtype) -> np.ndarray:
+    lines = block.count(b"\n") + (not block.endswith(b"\n"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # blank lines only: no rows
+            rows = np.loadtxt(io.BytesIO(block), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise StreamFormatError(f"{path}: malformed row: {exc}") from None
     if len(rows) != lines:
         raise StreamFormatError(f"{path}: {lines - len(rows)} of {lines} lines are blank")
     return rows
+
+
+def write_run_csv(
+    path,
+    model,
+    schedule: SettingsSchedule,
+    n_trials: int,
+    master_seed,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> None:
+    """Write `write_stream_csv(run_experiment(...), path, stream_metadata(...))`'s bytes.
+
+    Each generated chunk is written as it comes, its rows coded from the
+    schedule's setting indices, so memory stays at one chunk however many
+    trials run.
+    """
+    ny = len(schedule.y_settings)
+    chunks = _chunks(model, schedule, n_trials, master_seed, chunk_size)
+    blocks = (
+        (np.arange(k * chunk_size, k * chunk_size + len(a)), _cell_codes(xi * ny + yi, a, b))
+        for k, (xi, yi, a, b) in enumerate(chunks)
+    )
+    tail = _cell_tail(schedule.x_settings, schedule.y_settings)
+    metadata = stream_metadata(model, schedule, n_trials, master_seed, chunk_size)
+    write_rows(path, CSV_HEADER, blocks, tail, metadata)
 
 
 def write_stream_csv(stream: TrialStream, path, metadata: dict | None = None) -> None:
@@ -478,18 +551,12 @@ def write_stream_csv(stream: TrialStream, path, metadata: dict | None = None) ->
     same stream is byte-identical and reading back is lossless.  Settings are
     keyed on their bits, so -0.0 keeps its own repr.
     """
-    xs, ys = (np.unique(column.view(np.int64)) for column in (stream.x, stream.y))
-    x, y = xs.view(float).tolist(), ys.view(float).tolist()
-
-    def cells(rows):
-        xi = np.searchsorted(xs, stream.x[rows].view(np.int64))
-        yi = np.searchsorted(ys, stream.y[rows].view(np.int64))
-        return ((xi * len(y) + yi) * 3 + stream.a[rows] + 1) * 3 + stream.b[rows] + 1
-
-    def tail(c):
-        return f",{x[c // 9 // len(y)]!r},{y[c // 9 % len(y)]!r},{c // 3 % 3 - 1},{c % 3 - 1}\r\n"
-
-    write_rows(path, CSV_HEADER, stream.trial, cells, tail, metadata)
+    (xs, xi), (ys, yi) = (
+        np.unique(column.view(np.int64), return_inverse=True) for column in (stream.x, stream.y)
+    )
+    codes = _cell_codes(xi * len(ys) + yi, stream.a, stream.b)
+    tail = _cell_tail(xs.view(float).tolist(), ys.view(float).tolist())
+    write_rows(path, CSV_HEADER, [(stream.trial, codes)], tail, metadata)
 
 
 def check_sidecar(path, expected: dict) -> None:
@@ -505,12 +572,26 @@ def check_sidecar(path, expected: dict) -> None:
             raise StreamFormatError(f"{meta}: sidecar has {found}, the file {expected}")
 
 
+def read_stream_blocks(path) -> Iterator[TrialStream]:
+    """Yield a stream file's rows as checked `TrialStream` blocks.
+
+    Trial indices increase across blocks too, and once the last block is read
+    a sidecar, when present, must agree with the file.
+    """
+    n, last = 0, None
+    for rows in read_rows(path, CSV_HEADER, STREAM_ROW):
+        block = TrialStream(*(rows[name] for name in CSV_HEADER))
+        if last is not None and block.trial[0] <= last:
+            raise StreamFormatError("trial indices must be strictly increasing")
+        n, last = n + len(block), block.trial[-1]
+        yield block
+    check_sidecar(path, {"format": STREAM_FORMAT, "columns": list(CSV_HEADER), "n_trials": n})
+
+
 def read_stream_csv(path) -> TrialStream:
-    """Read a stream file; a sidecar, when present, must agree with it."""
-    rows = read_rows(path, CSV_HEADER, STREAM_ROW)
-    expected = {"format": STREAM_FORMAT, "columns": list(CSV_HEADER), "n_trials": len(rows)}
-    check_sidecar(path, expected)
-    return TrialStream(*(rows[name] for name in CSV_HEADER))
+    """Read a whole stream file; a sidecar, when present, must agree with it."""
+    columns = list(zip(*((s.trial, s.x, s.y, s.a, s.b) for s in read_stream_blocks(path))))
+    return TrialStream(*map(np.concatenate, columns)) if columns else TrialStream([], [], [], [], [])
 
 
 def stream_digest(path) -> str:

@@ -26,6 +26,7 @@ from contextlab.simulate import (
     stream_digest,
     stream_metadata,
     wing_outcome,
+    write_run_csv,
     write_stream_csv,
 )
 
@@ -589,5 +590,17 @@ def test_stream_bytes_of_every_model_kind_are_pinned(tmp_path, kind, mode, chunk
     path = tmp_path / "s.csv"
     meta = stream_metadata(model, schedule, 3000, (11, 4), chunk_size)
     write_stream_csv(run_experiment(model, schedule, 3000, (11, 4), chunk_size), path, meta)
+    found = (stream_digest(path), stream_digest(tmp_path / "s.csv.meta.json"))
+    assert found == STREAM_PINS[f"{kind}-{mode}-{chunk_size}"]
+
+
+@pytest.mark.parametrize("chunk_size", [7, 65536])
+@pytest.mark.parametrize("mode", ["random", "cycle"])
+@pytest.mark.parametrize("kind", ["random", "shared", "discretized", "malus", "selective-0"])
+def test_direct_writer_bytes_of_every_model_kind_are_pinned(tmp_path, kind, mode, chunk_size):
+    model = _pinned_model(kind)
+    schedule = SettingsSchedule(mode, (0.0, PI / 4), (PI / 8, 3 * PI / 8), seed=5)
+    path = tmp_path / "s.csv"
+    write_run_csv(path, model, schedule, 3000, (11, 4), chunk_size)
     found = (stream_digest(path), stream_digest(tmp_path / "s.csv.meta.json"))
     assert found == STREAM_PINS[f"{kind}-{mode}-{chunk_size}"]

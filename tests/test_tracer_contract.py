@@ -107,10 +107,13 @@ def traced(tmp_path):
 def test_the_tracer_installs_and_counts_a_cli_run(traced):
     argv = ["bell-run", "--n-trials", "300", "--schedule-seed", "1", "--out", "s.csv"]
     totals = traced("cli", *argv)
-    assert totals["simulate.run_experiment"]["trials"] == 300
+    # bell-run writes each chunk as it is generated, so no whole stream exists
+    assert "simulate.run_experiment" not in totals and "simulate.write_stream_csv" not in totals
     assert totals["simulate.wing_outcome"]["calls"] == 2
-    assert totals["simulate.write_stream_csv"]["rows"] == 300
     assert totals["cli.bell-run"]["calls"] == 1
+    totals = traced("cli", "bell-analyze", "--stream", "s.csv")
+    assert totals["analysis.estimate_correlations"]["trials"] == 300
+    assert totals["cli.bell-analyze"]["calls"] == 1
 
 
 def test_the_tracer_installs_and_counts_a_finite_oracle_run(traced, tmp_path):
