@@ -301,9 +301,10 @@ def model_curves(model, x: float, y: float, n_points: int = 200_001) -> dict:
     rate = total / n_points
     if total <= 0.0:
         raise InsufficientDataError("joint detection rate vanishes")
+    product = float(np.sum(w * ca * cb))
     return {
-        "raw_expectation": float(np.sum(w * ca * cb)) / n_points,
-        "coincidence_expectation": float(np.sum(w * ca * cb)) / total,
+        "raw_expectation": product / n_points,
+        "coincidence_expectation": product / total,
         "detection_rate": rate,
         "postselected_marginal_a": float(np.sum(w * ca)) / total,
         "postselected_marginal_b": float(np.sum(w * cb)) / total,

@@ -243,7 +243,7 @@ class FiniteContextualModel:
     def outcomes(self, wing: int, src, settings, index, u) -> np.ndarray:
         """One wing's outcomes, trials grouped by that wing's own setting."""
         out = np.empty(len(index), dtype=np.int8)
-        for k in np.unique(index):
+        for k in np.flatnonzero(np.bincount(index)):  # the settings that occur, with no sort
             rows = np.nonzero(index == k)[0]
             cum, outcome = self.sampling_tables(wing, settings[k])
             out[rows] = outcome[src[rows], np.searchsorted(cum, u[rows], side="right")]

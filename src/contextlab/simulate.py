@@ -12,7 +12,10 @@ other wing's setting, source value or uniform, so replaying the
 hidden-variable streams under a different counterpart setting never changes
 a wing's outcome sequence.  Trials are generated in fixed-size chunks with
 per-chunk derived substreams; the chunk size is part of the reproducibility
-contract and is recorded in the stream metadata.
+contract and is recorded in the stream metadata.  Within a chunk the outcomes
+are computed `TILE` trials at a time, each substream drawing its uniforms one
+tile after the other; consecutive draws from a generator concatenate to one
+draw of their total length, so the tile size is not part of the contract.
 
 Two continuous reference models are provided.  `SelectiveModel` is the
 cosine-squared response with wing-local non-detection: the source draws a
@@ -54,6 +57,7 @@ from .models import (
 from .seeding import STREAM_ALICE, STREAM_BOB, STREAM_SETTINGS, STREAM_SOURCE, substream
 
 DEFAULT_CHUNK_SIZE = 65536
+TILE = 8192  # trials per kernel call: 64 KB float temporaries stay in cache and off mmap
 READ_BLOCK_BYTES = 1 << 18  # a stream file is parsed this many bytes at a time
 WRITE_BATCH_ROWS = 1 << 14  # and its text is built this many rows at a time
 STREAM_FORMAT = "trial-stream/1"
@@ -306,8 +310,10 @@ class SettingsSchedule:
         if self.mode == "random":
             rng = substream(self.seed, chunk_index, STREAM_SETTINGS)
             return rng.integers(0, nx, size=count), rng.integers(0, ny, size=count)
-        pair = (np.arange(start, start + count)) % (nx * ny)
-        return pair // ny, pair % ny
+        period = np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx)  # x-major (xi, yi)
+        offset = start % (nx * ny)
+        reps = (offset + count - 1) // (nx * ny) + 1
+        return tuple(np.tile(column, reps)[offset : offset + count] for column in period)
 
     def descriptor(self) -> dict:
         return {
@@ -324,7 +330,11 @@ class SettingsSchedule:
 
 
 def _chunks(model, schedule: SettingsSchedule, n_trials: int, master_seed, chunk_size: int):
-    """Yield `(xi, yi, a, b)` per chunk: schedule setting indices and outcomes."""
+    """Yield `(xi, yi, a, b)` per chunk: schedule setting indices and outcomes.
+
+    The outcomes are computed `TILE` trials at a time into the chunk's int8
+    columns, each substream drawing one tile's uniforms after the other.
+    """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
     if chunk_size < 1:
@@ -334,14 +344,17 @@ def _chunks(model, schedule: SettingsSchedule, n_trials: int, master_seed, chunk
     for chunk_index, start in enumerate(range(0, n_trials, chunk_size)):
         count = min(chunk_size, n_trials - start)
         xi, yi = schedule.indices(start, count, chunk_index)
-        u_src, u_a, u_b = (
-            substream(master_seed, chunk_index, stream_id).random(count)
+        rngs = [
+            substream(master_seed, chunk_index, stream_id)
             for stream_id in (STREAM_SOURCE, STREAM_ALICE, STREAM_BOB)
-        )
-        lam1, lam2 = model.source(u_src)
-        a = model.outcomes(0, lam1, xs, xi, u_a)
-        b = model.outcomes(1, lam2, ys, yi, u_b)
-        del u_src, u_a, u_b, lam1, lam2  # a generator's locals outlive its yield
+        ]
+        a, b = np.empty(count, np.int8), np.empty(count, np.int8)
+        for tile in range(0, count, TILE):
+            rows = slice(tile, min(tile + TILE, count))
+            u_src, u_a, u_b = (rng.random(rows.stop - tile) for rng in rngs)
+            lam1, lam2 = model.source(u_src)
+            a[rows] = model.outcomes(0, lam1, xs, xi[rows], u_a)
+            b[rows] = model.outcomes(1, lam2, ys, yi[rows], u_b)
         yield xi, yi, a, b
 
 

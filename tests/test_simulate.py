@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from contextlab import simulate
 from contextlab.errors import ConfigError, StreamFormatError
 from contextlab.models import (
     FiniteContextualModel,
@@ -14,6 +16,7 @@ from contextlab.models import (
     random_model,
     shared_space_model,
 )
+from contextlab.seeding import substream
 from contextlab.simulate import (
     MalusModel,
     SelectiveModel,
@@ -143,6 +146,21 @@ def test_random_schedule_counts_are_binomial():
         for y in (2.0, 3.0):
             count = int(np.sum((stream.x == x) & (stream.y == y)))
             assert abs(count - n / 4) < 4 * sigma
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    nx=st.integers(1, 5),
+    ny=st.integers(1, 5),
+    start=st.integers(0, 10**12),
+    count=st.integers(1, 300),
+)
+def test_cycle_indices_equal_the_modulo_form(nx, ny, start, count):
+    schedule = SettingsSchedule("cycle", tuple(map(float, range(nx))), tuple(map(float, range(ny))))
+    pair = np.arange(start, start + count) % (nx * ny)
+    for got, want in zip(schedule.indices(start, count, 0), (pair // ny, pair % ny)):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_schedule_validation():
@@ -604,3 +622,53 @@ def test_direct_writer_bytes_of_every_model_kind_are_pinned(tmp_path, kind, mode
     write_run_csv(path, model, schedule, 3000, (11, 4), chunk_size)
     found = (stream_digest(path), stream_digest(tmp_path / "s.csv.meta.json"))
     assert found == STREAM_PINS[f"{kind}-{mode}-{chunk_size}"]
+
+
+# --- tiles: the kernel's working size is not part of the contract --------------------
+
+
+def test_consecutive_generator_draws_concatenate_bit_for_bit():
+    whole = substream((11, 4), 3, 1).random(1000)
+    tiled = substream((11, 4), 3, 1)
+    parts = [tiled.random(7), tiled.random(0), tiled.random(500)]
+    rest = np.empty(493)
+    tiled.random(out=rest)
+    assert np.concatenate([*parts, rest]).tobytes() == whole.tobytes()
+
+
+def _run_all(tmp_path, model, schedule, n, chunk_size):
+    path = tmp_path / f"{simulate.TILE}.csv"
+    write_run_csv(path, model, schedule, n, (11, 4), chunk_size)
+    counts = run_counts(model, schedule, n, (11, 4), chunk_size)
+    stream = run_experiment(model, schedule, n, (11, 4), chunk_size)
+    columns = [getattr(stream, c).tobytes() for c in ("trial", "x", "y", "a", "b")]
+    return counts.counts.tolist(), counts.pairs, columns, path.read_bytes()
+
+
+# chunk sizes that are no multiple of the tile, and a tile beyond the chunk, whose
+# reference at the default tile spans three tiles per chunk
+@pytest.mark.parametrize(
+    "tile, chunk_size, n", [(1, 13, 60), (3, 50, 230), (7, 50, 230), (1 << 20, 20000, 45000)]
+)
+@pytest.mark.parametrize("mode", ["random", "cycle"])
+@pytest.mark.parametrize("kind", ["selective", "malus", "random"])
+def test_outputs_do_not_depend_on_the_tile_size(tmp_path, monkeypatch, kind, mode, tile, chunk_size, n):
+    model = SelectiveModel(3.0, 0.25) if kind == "selective" else _pinned_model(kind)
+    schedule = SettingsSchedule(mode, (0.0, PI / 4), (PI / 8, 3 * PI / 8), seed=5)
+    want = _run_all(tmp_path, model, schedule, n, chunk_size)
+    monkeypatch.setattr(simulate, "TILE", tile)
+    assert _run_all(tmp_path, model, schedule, n, chunk_size) == want
+
+
+def test_generation_memory_stays_at_tiles_not_chunks():
+    # a chunk's float temporaries at 65,536 trials, about 8 MB at their peak,
+    # are what tiles replace; the fold's per-chunk integer arrays stay
+    model, schedule = SelectiveModel(3.0, 0.25), SettingsSchedule("cycle", (0.0,), (PI / 8,))
+    run_counts(model, schedule, 1000, 1)
+    tracemalloc.start()
+    try:
+        run_counts(model, schedule, 4 * 65536, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
