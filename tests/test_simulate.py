@@ -661,8 +661,8 @@ def test_outputs_do_not_depend_on_the_tile_size(tmp_path, monkeypatch, kind, mod
 
 
 def test_generation_memory_stays_at_tiles_not_chunks():
-    # a chunk's float temporaries at 65,536 trials, about 8 MB at their peak,
-    # are what tiles replace; the fold's per-chunk integer arrays stay
+    # whole-chunk float temporaries put this peak at about 8 MB; with tiles it
+    # is about 3.6 MB, the fold's per-chunk integer arrays included
     model, schedule = SelectiveModel(3.0, 0.25), SettingsSchedule("cycle", (0.0,), (PI / 8,))
     run_counts(model, schedule, 1000, 1)
     tracemalloc.start()
