@@ -183,8 +183,12 @@ class FiniteContextualModel:
                 f"source_dist shape {self.source_dist.shape} != ({n1}, {n2})"
             )
         self._wings = tuple(map(self._build_wing, (alice, bob), (n1, n2), WINGS))
-        self._cum_source = np.cumsum(self.source_dist.ravel())
-        self._cum_source[-1] = 1.0
+        # the source CDF over the positive cells and the last: the first dense entry
+        # above a uniform adds a positive probability, or is the last, pinned to 1.0
+        flat = self.source_dist.ravel()
+        self._source_cells = np.union1d(np.flatnonzero(flat), [flat.size - 1])
+        self._source_cum = np.cumsum(flat[self._source_cells])
+        self._source_cum[-1] = 1.0
 
     @staticmethod
     def _build_wing(tables, n_source: int, wing: str) -> dict[float, WingTables]:
@@ -228,7 +232,7 @@ class FiniteContextualModel:
 
     def source(self, u_src):
         """Source value indices (i1, i2) per trial, by inverse CDF of one uniform."""
-        flat = np.searchsorted(self._cum_source, u_src, side="right")
+        flat = self._source_cells[np.searchsorted(self._source_cum, u_src, side="right")]
         return np.divmod(flat, len(self.lambda2_space))
 
     def sampling_tables(self, wing: int, setting: float):
@@ -383,7 +387,8 @@ def model_from_dict(data: Mapping) -> FiniteContextualModel:
 
 
 def save_model(model: FiniteContextualModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=1, sort_keys=True))
+    with Path(path).open("w") as fh:  # json.dumps would join the whole indented text first
+        json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
 
 
 def load_model(path) -> FiniteContextualModel:

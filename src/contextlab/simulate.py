@@ -154,7 +154,7 @@ class TrialStream:
     def __init__(self, trial, x, y, a, b):
         trial, a, b = np.asarray(trial), np.asarray(a), np.asarray(b)
         # checked before narrowing, which would wrap or refuse 255 and truncate 1.5
-        if not (np.isin(a, (-1, 0, 1)).all() and np.isin(b, (-1, 0, 1)).all()):
+        if not (_are_outcomes(a) and _are_outcomes(b)):
             raise StreamFormatError("outcomes must be in {-1, 0, +1}")
         if not _fits_int64(trial):
             raise StreamFormatError("trial indices must be integers in the int64 range")
@@ -166,13 +166,20 @@ class TrialStream:
         n = len(self.trial)
         if not (len(self.x) == len(self.y) == len(self.a) == len(self.b) == n):
             raise StreamFormatError("stream columns have unequal lengths")
-        if n and np.any(np.diff(self.trial) <= 0):
+        if not np.all(self.trial[1:] > self.trial[:-1]):  # np.diff would wrap around int64
             raise StreamFormatError("trial indices must be strictly increasing")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise StreamFormatError("settings must be finite angles")
 
     def __len__(self) -> int:
         return len(self.trial)
+
+
+def _are_outcomes(values: np.ndarray) -> bool:
+    """Whether every value is -1, 0 or +1; integer columns by their range, with no temporary."""
+    if values.dtype.kind in "biu":
+        return values.size == 0 or bool(values.min() >= -1 and values.max() <= 1)
+    return bool(np.isin(values, (-1, 0, 1)).all())
 
 
 def _fits_int64(values: np.ndarray) -> bool:
@@ -204,29 +211,38 @@ class PairCounts:
 
     @classmethod
     def from_stream(cls, stream: TrialStream) -> "PairCounts":
-        xs, xi = _setting_index(stream.x)
-        ys, yi = _setting_index(stream.y)
-        return _fold(xs, ys, [(xi, yi, stream.a, stream.b)])
+        """The counts of a stream, folded `DEFAULT_CHUNK_SIZE` rows at a time."""
+        rows = (slice(k, k + DEFAULT_CHUNK_SIZE) for k in range(0, len(stream), DEFAULT_CHUNK_SIZE))
+        return _merge(_fold_rows(stream.x[r], stream.y[r], stream.a[r], stream.b[r]) for r in rows)
 
     @classmethod
     def from_blocks(cls, streams) -> "PairCounts":
-        """`from_stream` of the concatenated `streams`, folded one stream at a time.
+        """`from_stream` of the concatenated `streams`, folded one stream at a time."""
+        return _merge(map(cls.from_stream, streams))
 
-        Each block's counts are keyed by their normalized setting pair, in order
-        of first appearance; the tables are the sorted settings that occur.
-        """
-        cells: dict[tuple[float, float], np.ndarray] = {}
-        for part in map(cls.from_stream, streams):
-            for i, j in part.pairs:
-                key = (part.x_settings[i], part.y_settings[j])
-                cells[key] = cells.get(key, 0) + part.counts[i, j]
-        xs, ys = sorted({x for x, _ in cells}), sorted({y for _, y in cells})
-        xi, yi = ({v: i for i, v in enumerate(table)} for table in (xs, ys))
-        counts = np.zeros((len(xs), len(ys), 3, 3), dtype=np.int64)
-        for (x, y), cell in cells.items():
-            counts[xi[x], yi[y]] = cell
-        pairs = tuple((xi[x], yi[y]) for x, y in cells)
-        return cls(tuple(xs), tuple(ys), counts, pairs)
+
+def _fold_rows(x, y, a, b) -> PairCounts:
+    """The counts of rows held as columns, tables from the settings that occur."""
+    xs, xi = _setting_index(x)
+    ys, yi = _setting_index(y)
+    return _fold(xs, ys, [(xi, yi, a, b)])
+
+
+def _merge(parts) -> PairCounts:
+    """The counts of consecutive parts together: keyed by normalized setting pair in
+    order of first appearance, with the sorted settings that occur as the tables."""
+    cells: dict[tuple[float, float], np.ndarray] = {}
+    for part in parts:
+        for i, j in part.pairs:
+            key = (part.x_settings[i], part.y_settings[j])
+            cells[key] = cells.get(key, 0) + part.counts[i, j]
+    xs, ys = sorted({x for x, _ in cells}), sorted({y for _, y in cells})
+    xi, yi = ({v: i for i, v in enumerate(table)} for table in (xs, ys))
+    counts = np.zeros((len(xs), len(ys), 3, 3), dtype=np.int64)
+    for (x, y), cell in cells.items():
+        counts[xi[x], yi[y]] = cell
+    pairs = tuple((xi[x], yi[y]) for x, y in cells)
+    return PairCounts(tuple(xs), tuple(ys), counts, pairs)
 
 
 def _setting_index(column: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
@@ -368,11 +384,14 @@ def run_experiment(
     """Generate `n_trials` records; bit-identical for identical arguments."""
     xs = np.asarray(schedule.x_settings)
     ys = np.asarray(schedule.y_settings)
-    parts = [
-        (xs[xi], ys[yi], a, b)
-        for xi, yi, a, b in _chunks(model, schedule, n_trials, master_seed, chunk_size)
-    ]
-    x, y, a, b = (np.concatenate(column) for column in zip(*parts))
+    n = max(n_trials, 0)  # _chunks refuses n_trials < 1 when the loop starts
+    x, y, a, b = np.empty(n), np.empty(n), np.empty(n, np.int8), np.empty(n, np.int8)
+    chunks = _chunks(model, schedule, n_trials, master_seed, chunk_size)
+    for k, (xi, yi, a_k, b_k) in enumerate(chunks):
+        rows = slice(k * chunk_size, k * chunk_size + len(a_k))
+        np.take(xs, xi, out=x[rows])
+        np.take(ys, yi, out=y[rows])
+        a[rows], b[rows] = a_k, b_k
     return TrialStream(np.arange(n_trials), x, y, a, b)
 
 

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from contextlab import analysis
 from contextlab.analysis import (
     DEFAULT_CHSH_SETTINGS,
     ChshResult,
@@ -260,6 +262,81 @@ def test_malus_quadrature_recovers_half_cosine():
 def test_malus_raw_chsh_is_sqrt_two():
     s = quadrature_chsh(MalusModel(), mode="raw")
     assert abs(s) == pytest.approx(math.sqrt(2), abs=1e-9)
+
+
+def untiled_curves(model, x, y, n_points):
+    """`model_curves` as one whole-length pass, the reference its tiles must equal."""
+    phi = (np.arange(n_points) + 0.5) * (math.pi / n_points)
+    da = phi - x
+    db = phi + math.pi / 2 - y
+    ca = np.cos(2.0 * da)
+    cb = np.cos(2.0 * db)
+    w = model.survival(da, cos2=ca) * model.survival(db, cos2=cb)
+    total = float(np.sum(w))
+    if total <= 0.0:
+        raise InsufficientDataError("joint detection rate vanishes")
+    product = float(np.sum(w * ca * cb))
+    return {
+        "raw_expectation": product / n_points,
+        "coincidence_expectation": product / total,
+        "detection_rate": total / n_points,
+        "postselected_marginal_a": float(np.sum(w * ca)) / total,
+        "postselected_marginal_b": float(np.sum(w * cb)) / total,
+    }
+
+
+def curve_bits(curves, model, x, y, n_points):
+    """Each value's float.hex, or the error's type, so equality means the same bits."""
+    try:
+        return {k: float(v).hex() for k, v in curves(model, x, y, n_points).items()}
+    except InsufficientDataError as exc:
+        return type(exc)
+
+
+CURVE_PAIRS = ((A, B), (A, BP), (AP, B), (AP, BP))
+CURVE_MODELS = [MalusModel()] + [
+    SelectiveModel(d, asym) for d in (0.5, 1.5, 3.0, 8.0) for asym in (0.0, 0.25, 1.0)
+]
+
+
+@pytest.mark.parametrize("n_points", [1, 7, analysis.TILE - 1, analysis.TILE, analysis.TILE + 1,
+                                      2 * analysis.TILE + 3])
+def test_model_curves_equal_the_untiled_reference_bit_for_bit(n_points):
+    for model in CURVE_MODELS:
+        for x, y in CURVE_PAIRS:
+            want = curve_bits(untiled_curves, model, x, y, n_points)
+            assert curve_bits(model_curves, model, x, y, n_points) == want, (model, x, y)
+
+
+def test_model_curves_at_the_default_grid_equal_the_untiled_reference():
+    for model in (MalusModel(), SelectiveModel(3.0, 0.25)):
+        for x, y in CURVE_PAIRS:
+            want = curve_bits(untiled_curves, model, x, y, 200_001)
+            assert curve_bits(model_curves, model, x, y, 200_001) == want, (model, x, y)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+def test_model_curves_do_not_depend_on_the_tile_size(monkeypatch, tile):
+    monkeypatch.setattr(analysis, "TILE", tile)
+    for model in (MalusModel(), SelectiveModel(1.5, 0.25), SelectiveModel(3.0, 1.0)):
+        for x, y in CURVE_PAIRS:
+            for n_points in (1, 2, 3, 6, 7, 8, 22):
+                want = curve_bits(untiled_curves, model, x, y, n_points)
+                assert curve_bits(model_curves, model, x, y, n_points) == want, (model, n_points)
+
+
+def test_quadrature_memory_stays_at_its_four_sums():
+    # nine whole-grid float temporaries of 200,001 points put this peak at about
+    # 13.7 MiB; tiles leave the four summed arrays, 6.1 MiB, and one tile's work
+    model = SelectiveModel(3.0, 0.25)
+    quadrature_chsh(model)
+    tracemalloc.start()
+    try:
+        quadrature_chsh(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20, peak
 
 
 def test_sweep_reports_both_routes_and_monotone_optimum():

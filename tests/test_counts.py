@@ -2,12 +2,15 @@
 
 import math
 import struct
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from contextlab import simulate
 from contextlab.analysis import estimate_correlations, no_signaling_report
 from contextlab.errors import InsufficientDataError
 from contextlab.models import normalize_angle, random_model
@@ -81,17 +84,35 @@ def exact_se(n: int, s1: int, s2: int) -> Decimal:
 
 
 @PROPERTY
-@given(trial_rows)
-def test_fold_equals_per_trial_counting(rows):
+@given(trial_rows, st.integers(1, 250))
+def test_fold_equals_per_trial_counting(rows, slice_rows):
     brute: dict = {}
     for x, y, a, b in rows:
         cell = brute.setdefault((normalize_angle(x), normalize_angle(y)), np.zeros((3, 3), int))
         cell[a + 1, b + 1] += 1
-    folded = PairCounts.from_stream(as_stream(rows))
+    with pytest.MonkeyPatch.context() as patch:  # from_stream folds this many rows at a time
+        patch.setattr(simulate, "DEFAULT_CHUNK_SIZE", slice_rows)
+        folded = PairCounts.from_stream(as_stream(rows))
     assert per_pair(folded) == [(key, cell.tolist()) for key, cell in brute.items()]
     assert len(folded) == len(rows)
-    assert len(set(folded.x_settings)) == len(folded.x_settings)
+    assert folded.x_settings == tuple(sorted({x for x, _ in brute}))
+    assert folded.y_settings == tuple(sorted({y for _, y in brute}))
     assert all(0.0 <= v < TWO_PI for v in folded.x_settings + folded.y_settings)
+
+
+def test_fold_memory_stays_at_one_slice_not_the_stream():
+    # folding the stream whole put this peak at about 12 MiB: per trial, sorted
+    # settings and int64 inverse indices, pair and cell codes; by slices it is 3.1 MiB
+    schedule = SettingsSchedule("random", (0.0, PI / 4), (PI / 8, 3 * PI / 8), seed=1)
+    stream = run_experiment(SelectiveModel(3.0, 0.25), schedule, 4 * 65536, 1)
+    PairCounts.from_stream(as_stream([(0.0, 0.0, 1, 1)]))
+    tracemalloc.start()
+    try:
+        PairCounts.from_stream(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
 
 
 def finite_case(seed):

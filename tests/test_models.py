@@ -177,6 +177,27 @@ def test_sampling_cdfs_end_at_exactly_one():
     assert m.outcomes(0, i1, (X0,), np.array([0]), u).tolist() == [1]
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_source_finds_the_cell_the_dense_cdf_finds(n1, n2, data):
+    cells = n1 * n2
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=cells, max_size=cells), label="weights")
+    trailing_zeros = data.draw(st.integers(0, cells - 1), label="trailing zeros")
+    weights[cells - trailing_zeros :] = [0] * trailing_zeros
+    weights[0] += not any(weights)
+    source = np.array(weights, float).reshape(n1, n2) / sum(weights)
+    m = FiniteContextualModel(
+        range(n1), range(n2), source, {X0: ((0,), [1.0], [[1]] * n1)}, {Y0: ((0,), [1.0], [[1]] * n2)}
+    )
+    dense = np.cumsum(m.source_dist.ravel())
+    dense[-1] = 1.0
+    drawn = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20), label="u")
+    u = np.concatenate([dense, np.nextafter(dense, 0.0), np.nextafter(dense, 2.0), [0.0], drawn])
+    u = u[u < 1.0]
+    want = np.divmod(np.searchsorted(dense, u, side="right"), n2)
+    assert [i.tolist() for i in m.source(u)] == [i.tolist() for i in want]
+
+
 def test_instrument_reductions_are_formed_once_at_construction(monkeypatch):
     calls = []
     fsum_rows = models._fsum_rows
@@ -441,6 +462,7 @@ def test_model_json_round_trip(tmp_path):
     m = random_model(np.random.default_rng(5), n1=3, n2=2, n_inst=4)
     path = tmp_path / "model.json"
     save_model(m, path)
+    assert path.read_text() == json.dumps(model_to_dict(m), indent=1, sort_keys=True)
     loaded = load_model(path)
     assert np.array_equal(loaded.source_dist, m.source_dist)
     for x in m.alice_settings:

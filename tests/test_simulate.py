@@ -491,6 +491,37 @@ def test_integral_trial_indices_of_any_dtype_are_kept():
         assert stream.trial.tolist() == [int(v) for v in trial]
 
 
+def test_strictly_increasing_trial_indices_that_span_the_int64_range_are_kept():
+    # their np.diff wraps around int64 to a negative step
+    stream = TrialStream([-(2**63) + 1, 2**63 - 1], [0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1])
+    assert stream.trial.tolist() == [-(2**63) + 1, 2**63 - 1]
+    with pytest.raises(StreamFormatError, match="strictly increasing"):
+        TrialStream([2**63 - 1, -(2**63) + 1], [0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1])
+
+
+@pytest.mark.parametrize(
+    "outcomes, valid",
+    [
+        (np.array([1, 0], np.uint8), True),
+        (np.array([True, False]), True),
+        (np.array([-1, 1], np.int16), True),
+        (np.array([-1.0, 1.0]), True),
+        (np.array([1, 2], np.uint8), False),
+        (np.array([-2, 0]), False),
+        (np.array([2**63, 0], np.uint64), False),
+        (np.array([1, -1], object), True),
+        (np.array([1, 2**64], object), False),
+    ],
+)
+def test_outcomes_of_every_dtype_are_checked_before_narrowing(outcomes, valid):
+    columns = ([0, 1], [0.0, 0.0], [0.0, 0.0], [1, 1], outcomes)
+    if valid:
+        assert TrialStream(*columns).b.tolist() == [int(v) for v in outcomes]
+    else:
+        with pytest.raises(StreamFormatError, match="outcomes"):
+            TrialStream(*columns)
+
+
 def test_run_experiment_validation():
     with pytest.raises(ConfigError):
         run_experiment(MalusModel(), SettingsSchedule("cycle", (0.0,), (0.0,)), 0, 1)
