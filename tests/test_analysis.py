@@ -299,8 +299,9 @@ CURVE_MODELS = [MalusModel()] + [
 ]
 
 
-@pytest.mark.parametrize("n_points", [1, 7, analysis.TILE - 1, analysis.TILE, analysis.TILE + 1,
-                                      2 * analysis.TILE + 3])
+@pytest.mark.parametrize(
+    "n_points", [1, 7, analysis.TILE - 1, analysis.TILE, analysis.TILE + 1, 2 * analysis.TILE + 3]
+)
 def test_model_curves_equal_the_untiled_reference_bit_for_bit(n_points):
     for model in CURVE_MODELS:
         for x, y in CURVE_PAIRS:
