@@ -1,9 +1,10 @@
 """Correlation estimation, CHSH combinations, and no-signaling reports.
 
 Every Bell estimate is a function of the outcome-count tensor
-`counts[x, y, a, b]` of `simulate.PairCounts`, folded from a stream by
-`PairCounts.from_stream`, from a stream file's blocks by
-`PairCounts.from_blocks` or from generated chunks by `simulate.run_counts`.
+`counts[x, y, a, b]` of `simulate.PairCounts`.  One fold builds it, whether
+from generated chunks (`simulate.run_counts`), from a stream's slices
+(`PairCounts.from_stream`) or from a stream file's blocks
+(`PairCounts.from_blocks`), and all three give equal counts.
 The raw expectation keeps non-detections in the product (a zero outcome
 contributes a zero product), which puts the estimator on the same footing as
 the exact finite-model contraction; the coincidence expectation conditions on

@@ -451,7 +451,7 @@ def cmd_stream_test(v: dict, config: dict) -> int:
         reports = [TESTS[name](faces, v) for name in v["tests"]]
     else:
         wing = v["wing"].upper()
-        column = [s.a if wing == "A" else s.b for s in read_stream_blocks(v["stream"])]
+        column = [rows[wing.lower()] for rows in read_stream_blocks(v["stream"])]
         indicators = ternary_to_indicators(np.concatenate([np.empty(0, np.int8), *column]))
         # an outcome the wing never gives has no stream to test
         doc["absent_outcomes"] = [symbol for symbol, bits in indicators.items() if not bits.any()]

@@ -105,8 +105,8 @@ def ternary_to_indicators(values) -> dict[int, np.ndarray]:
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
 
 
-def _gamma_prefactor(a: float, x: float) -> float:
-    """x**a * exp(-x) / Gamma(a + 1), the factor both chi-square tails share.
+def _gamma_prefactor(a: float, stat: float) -> float:
+    """x**a * exp(-x) / Gamma(a + 1) at x = stat/2, the factor both chi-square tails share.
 
     Off the range where the float formula is good to a few ulps, its
     logarithm a ln(x/a) - (x - a) - c(a), with c(a) = ln Gamma(a + 1) - a ln a + a,
@@ -114,8 +114,10 @@ def _gamma_prefactor(a: float, x: float) -> float:
     rounding of its large terms cost up to 3.6e-13 relative in the far tails
     at large dof.  c(a) is small and needs only floats.
     """
+    x = stat / 2.0
     if a < 10.0 and x < 700.0:
-        return math.exp(-x) * x**a / math.gamma(a + 1.0)
+        power = x**a if stat >= 2.0**-1021 else stat**a * 0.5**a  # halving drops subnormal bits
+        return math.exp(-x) * power / math.gamma(a + 1.0)
     from decimal import Decimal, localcontext
 
     if a < 10.0:
@@ -140,7 +142,7 @@ def chi_square_tails(dof: int, stat: float) -> tuple[float, float]:
     [0, 1] because the tail computed directly is at most 0.92 in its region.
     """
     a, x = dof / 2.0, stat / 2.0
-    prefactor = _gamma_prefactor(a, x)
+    prefactor = _gamma_prefactor(a, stat)
     if x < a + 1.0:
         terms, n = [1.0], 1
         while terms[-1] > 1e-17:  # the sum is at least 1 and the terms fall

@@ -33,7 +33,6 @@ is -cos(2(x-y))/2.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -153,26 +152,31 @@ class TrialStream:
 
     def __init__(self, trial, x, y, a, b):
         trial, a, b = np.asarray(trial), np.asarray(a), np.asarray(b)
-        # checked before narrowing, which would wrap or refuse 255 and truncate 1.5
-        if not (_are_outcomes(a) and _are_outcomes(b)):
-            raise StreamFormatError("outcomes must be in {-1, 0, +1}")
         if not _fits_int64(trial):
             raise StreamFormatError("trial indices must be integers in the int64 range")
         self.trial = np.ascontiguousarray(trial, dtype=np.int64)
         self.x = np.ascontiguousarray(x, dtype=float)
         self.y = np.ascontiguousarray(y, dtype=float)
+        if not (len(self.x) == len(self.y) == len(a) == len(b) == len(self.trial)):
+            raise StreamFormatError("stream columns have unequal lengths")
+        # outcomes are checked before narrowing, which would wrap or refuse 255 and truncate 1.5
+        _check_rows(self.trial, self.x, self.y, a, b)
         self.a = np.ascontiguousarray(a, dtype=np.int8)
         self.b = np.ascontiguousarray(b, dtype=np.int8)
-        n = len(self.trial)
-        if not (len(self.x) == len(self.y) == len(self.a) == len(self.b) == n):
-            raise StreamFormatError("stream columns have unequal lengths")
-        if not np.all(self.trial[1:] > self.trial[:-1]):  # np.diff would wrap around int64
-            raise StreamFormatError("trial indices must be strictly increasing")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise StreamFormatError("settings must be finite angles")
 
     def __len__(self) -> int:
         return len(self.trial)
+
+
+def _check_rows(trial, x, y, a, b) -> None:
+    """Raise `StreamFormatError` unless the columns are valid rows: outcomes in
+    {-1, 0, +1}, strictly increasing trial indices and finite settings."""
+    if not (_are_outcomes(a) and _are_outcomes(b)):
+        raise StreamFormatError("outcomes must be in {-1, 0, +1}")
+    if not np.all(trial[1:] > trial[:-1]):  # np.diff would wrap around int64
+        raise StreamFormatError("trial indices must be strictly increasing")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise StreamFormatError("settings must be finite angles")
 
 
 def _are_outcomes(values: np.ndarray) -> bool:
@@ -196,9 +200,9 @@ class PairCounts:
 
     `counts[i, j, a + 1, b + 1]` (int64) is the number of trials at settings
     (x_settings[i], y_settings[j]) whose outcomes were (a, b).  The settings
-    are distinct angles normalized to [0, 2*pi), so two raw angles that name
-    the same setting share one row; `pairs` lists the (i, j) that occur, in
-    order of first appearance.
+    tables are the sorted distinct settings that occur, normalized to
+    [0, 2*pi), so two raw angles that name the same setting share one row;
+    `pairs` lists the (i, j) that occur, in order of first appearance.
     """
 
     x_settings: tuple[float, ...]
@@ -213,66 +217,63 @@ class PairCounts:
     def from_stream(cls, stream: TrialStream) -> "PairCounts":
         """The counts of a stream, folded `DEFAULT_CHUNK_SIZE` rows at a time."""
         rows = (slice(k, k + DEFAULT_CHUNK_SIZE) for k in range(0, len(stream), DEFAULT_CHUNK_SIZE))
-        return _merge(_fold_rows(stream.x[r], stream.y[r], stream.a[r], stream.b[r]) for r in rows)
+        return _fold(_indexed((stream.x[r], stream.y[r], stream.a[r], stream.b[r]) for r in rows))
 
     @classmethod
-    def from_blocks(cls, streams) -> "PairCounts":
-        """`from_stream` of the concatenated `streams`, folded one stream at a time."""
-        return _merge(map(cls.from_stream, streams))
+    def from_blocks(cls, blocks) -> "PairCounts":
+        """`from_stream` of the concatenated `STREAM_ROW` blocks, folded one block at a time."""
+        columns = ((rows["x_rad"], rows["y_rad"], rows["a"], rows["b"]) for rows in blocks)
+        return _fold(_indexed(columns))
 
 
-def _fold_rows(x, y, a, b) -> PairCounts:
-    """The counts of rows held as columns, tables from the settings that occur."""
-    xs, xi = _setting_index(x)
-    ys, yi = _setting_index(y)
-    return _fold(xs, ys, [(xi, yi, a, b)])
+def _indexed(columns):
+    """Yield `(xs, ys, xi, yi, a, b)` per `(x, y, a, b)` block, indexing the
+    settings into sorted tables of the raw values seen so far."""
+    xs = ys = np.empty(0)
+    for x, y, a, b in columns:
+        (xs, xi), (ys, yi) = _lookup(xs, x), _lookup(ys, y)
+        yield xs, ys, xi, yi, a, b
 
 
-def _merge(parts) -> PairCounts:
-    """The counts of consecutive parts together: keyed by normalized setting pair in
-    order of first appearance, with the sorted settings that occur as the tables."""
+def _lookup(table, column):
+    """The sorted `table` and each value's index into it: a `searchsorted` and an
+    equality check, with `np.union1d` only when the column holds a new value."""
+    i = np.searchsorted(table, column)
+    if not (i.max(initial=0) < len(table) and np.array_equal(table[i], column)):
+        table = np.union1d(table, column)
+        i = np.searchsorted(table, column)
+    return table, i
+
+
+def _fold(blocks) -> PairCounts:
+    """Histogram `(xs, ys, xi, yi, a, b)` blocks into `PairCounts`.
+
+    `xs` and `ys` are raw setting tables and `xi`, `yi` each trial's index
+    into them.  One bincount per block over the cell code
+    ((xi*ny + yi)*3 + a+1)*3 + b+1; the cells are keyed by normalized setting
+    pair in order of first appearance, and only a block holding a pair not
+    seen before is sorted for first appearances.
+    """
     cells: dict[tuple[float, float], np.ndarray] = {}
-    for part in parts:
-        for i, j in part.pairs:
-            key = (part.x_settings[i], part.y_settings[j])
-            cells[key] = cells.get(key, 0) + part.counts[i, j]
+    for xs, ys, xi, yi, a, b in blocks:
+        ny = len(ys)
+        pair = xi * ny + yi
+        block = np.bincount(_cell_codes(pair, a, b), minlength=len(xs) * ny * 9).reshape(-1, 9)
+        nxs, nys = [normalize_angle(v) for v in xs], [normalize_angle(v) for v in ys]
+        keys = {p: (nxs[p // ny], nys[p % ny]) for p in np.flatnonzero(block.any(axis=1)).tolist()}
+        if any(key not in cells for key in keys.values()):
+            codes, first = np.unique(pair, return_index=True)
+            for p in codes[np.argsort(first)].tolist():
+                cells.setdefault(keys[p], np.zeros(9, np.int64))
+        for p, key in keys.items():
+            cells[key] += block[p]
     xs, ys = sorted({x for x, _ in cells}), sorted({y for _, y in cells})
     xi, yi = ({v: i for i, v in enumerate(table)} for table in (xs, ys))
     counts = np.zeros((len(xs), len(ys), 3, 3), dtype=np.int64)
     for (x, y), cell in cells.items():
-        counts[xi[x], yi[y]] = cell
+        counts[xi[x], yi[y]] = cell.reshape(3, 3)
     pairs = tuple((xi[x], yi[y]) for x, y in cells)
     return PairCounts(tuple(xs), tuple(ys), counts, pairs)
-
-
-def _setting_index(column: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
-    """Distinct normalized settings of a column and each trial's index into them."""
-    raw, inverse = np.unique(column, return_inverse=True)
-    table, merged = np.unique([normalize_angle(v) for v in raw.tolist()], return_inverse=True)
-    return tuple(table.tolist()), merged[inverse]
-
-
-def _fold(x_settings, y_settings, chunks) -> PairCounts:
-    """Histogram `(xi, yi, a, b)` chunks into the [nx, ny, 3, 3] tensor.
-
-    One bincount per chunk over the cell code ((xi*ny + yi)*3 + a+1)*3 + b+1;
-    only a chunk holding a pair not seen before is sorted for first appearances.
-    """
-    nx, ny = len(x_settings), len(y_settings)
-    flat = np.zeros(nx * ny * 9, dtype=np.int64)
-    order: list[int] = []
-    for xi, yi, a, b in chunks:
-        pair = xi * ny + yi
-        chunk = np.bincount(_cell_codes(pair, a, b), minlength=flat.size)
-        flat += chunk
-        new = chunk.reshape(-1, 9).any(axis=1)
-        new[order] = False
-        if new.any():
-            codes, first = np.unique(pair, return_index=True)
-            fresh = new[codes]
-            order += codes[fresh][np.argsort(first[fresh])].tolist()
-    pairs = tuple(divmod(p, ny) for p in order)
-    return PairCounts(tuple(x_settings), tuple(y_settings), flat.reshape(nx, ny, 3, 3), pairs)
 
 
 def _cell_codes(pair, a, b) -> np.ndarray:
@@ -346,32 +347,38 @@ class SettingsSchedule:
 
 
 def _chunks(model, schedule: SettingsSchedule, n_trials: int, master_seed, chunk_size: int):
-    """Yield `(xi, yi, a, b)` per chunk: schedule setting indices and outcomes.
-
-    The outcomes are computed `TILE` trials at a time into the chunk's int8
-    columns, each substream drawing one tile's uniforms after the other.
-    """
+    """Check the run's sizes, then return a generator of one `_fold` block
+    `(xs, ys, xi, yi, a, b)` per chunk: the schedule's setting tables, each
+    trial's indices into them and the outcomes.  Checking on the call, not on
+    the first `next()`, lets a caller refuse a run before it opens its output."""
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
     if chunk_size < 1:
         raise ConfigError("chunk_size must be >= 1")
+    return (
+        _chunk(model, schedule, master_seed, k, start, min(chunk_size, n_trials - start))
+        for k, start in enumerate(range(0, n_trials, chunk_size))
+    )
+
+
+def _chunk(model, schedule: SettingsSchedule, master_seed, chunk_index, start, count):
+    """One chunk's block, its outcomes computed `TILE` trials at a time into int8
+    columns, each substream drawing one tile's uniforms after the other."""
     xs = np.asarray(schedule.x_settings)
     ys = np.asarray(schedule.y_settings)
-    for chunk_index, start in enumerate(range(0, n_trials, chunk_size)):
-        count = min(chunk_size, n_trials - start)
-        xi, yi = schedule.indices(start, count, chunk_index)
-        rngs = [
-            substream(master_seed, chunk_index, stream_id)
-            for stream_id in (STREAM_SOURCE, STREAM_ALICE, STREAM_BOB)
-        ]
-        a, b = np.empty(count, np.int8), np.empty(count, np.int8)
-        for tile in range(0, count, TILE):
-            rows = slice(tile, min(tile + TILE, count))
-            u_src, u_a, u_b = (rng.random(rows.stop - tile) for rng in rngs)
-            lam1, lam2 = model.source(u_src)
-            a[rows] = model.outcomes(0, lam1, xs, xi[rows], u_a)
-            b[rows] = model.outcomes(1, lam2, ys, yi[rows], u_b)
-        yield xi, yi, a, b
+    xi, yi = schedule.indices(start, count, chunk_index)
+    rngs = [
+        substream(master_seed, chunk_index, stream_id)
+        for stream_id in (STREAM_SOURCE, STREAM_ALICE, STREAM_BOB)
+    ]
+    a, b = np.empty(count, np.int8), np.empty(count, np.int8)
+    for tile in range(0, count, TILE):
+        rows = slice(tile, min(tile + TILE, count))
+        u_src, u_a, u_b = (rng.random(rows.stop - tile) for rng in rngs)
+        lam1, lam2 = model.source(u_src)
+        a[rows] = model.outcomes(0, lam1, xs, xi[rows], u_a)
+        b[rows] = model.outcomes(1, lam2, ys, yi[rows], u_b)
+    return xs, ys, xi, yi, a, b
 
 
 def run_experiment(
@@ -382,12 +389,10 @@ def run_experiment(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> TrialStream:
     """Generate `n_trials` records; bit-identical for identical arguments."""
-    xs = np.asarray(schedule.x_settings)
-    ys = np.asarray(schedule.y_settings)
-    n = max(n_trials, 0)  # _chunks refuses n_trials < 1 when the loop starts
-    x, y, a, b = np.empty(n), np.empty(n), np.empty(n, np.int8), np.empty(n, np.int8)
     chunks = _chunks(model, schedule, n_trials, master_seed, chunk_size)
-    for k, (xi, yi, a_k, b_k) in enumerate(chunks):
+    x, y = np.empty(n_trials), np.empty(n_trials)
+    a, b = np.empty(n_trials, np.int8), np.empty(n_trials, np.int8)
+    for k, (xs, ys, xi, yi, a_k, b_k) in enumerate(chunks):
         rows = slice(k * chunk_size, k * chunk_size + len(a_k))
         np.take(xs, xi, out=x[rows])
         np.take(ys, yi, out=y[rows])
@@ -402,16 +407,11 @@ def run_counts(
     master_seed,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> PairCounts:
-    """`PairCounts.from_stream(run_experiment(...))`, folded chunk by chunk.
-
-    Pairs, counts and pair order are the same; the settings tables are the
-    schedule's, normalized.  Memory stays at one chunk however many trials run.
+    """`PairCounts.from_stream(run_experiment(...))` in every field, folded chunk
+    by chunk from the schedule's own setting indices, so no pass maps values to
+    indices.  Memory stays at one chunk however many trials run.
     """
-    return _fold(
-        tuple(normalize_angle(v) for v in schedule.x_settings),
-        tuple(normalize_angle(v) for v in schedule.y_settings),
-        _chunks(model, schedule, n_trials, master_seed, chunk_size),
-    )
+    return _fold(_chunks(model, schedule, n_trials, master_seed, chunk_size))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +569,7 @@ def write_run_csv(
     chunks = _chunks(model, schedule, n_trials, master_seed, chunk_size)
     blocks = (
         (np.arange(k * chunk_size, k * chunk_size + len(a)), _cell_codes(xi * ny + yi, a, b))
-        for k, (xi, yi, a, b) in enumerate(chunks)
+        for k, (_, _, xi, yi, a, b) in enumerate(chunks)
     )
     tail = _cell_tail(schedule.x_settings, schedule.y_settings)
     metadata = stream_metadata(model, schedule, n_trials, master_seed, chunk_size)
@@ -604,28 +604,23 @@ def check_sidecar(path, expected: dict) -> None:
             raise StreamFormatError(f"{meta}: sidecar has {found}, the file {expected}")
 
 
-def read_stream_blocks(path) -> Iterator[TrialStream]:
-    """Yield a stream file's rows as checked `TrialStream` blocks.
+def read_stream_blocks(path) -> Iterator[np.ndarray]:
+    """Yield a stream file's rows as checked `STREAM_ROW` blocks.
 
     Trial indices increase across blocks too, and once the last block is read
     a sidecar, when present, must agree with the file.
     """
     n, last = 0, None
     for rows in read_rows(path, CSV_HEADER, STREAM_ROW):
-        block = TrialStream(*(rows[name] for name in CSV_HEADER))
-        if last is not None and block.trial[0] <= last:
+        _check_rows(*(rows[name] for name in CSV_HEADER))
+        if last is not None and rows["trial"][0] <= last:
             raise StreamFormatError("trial indices must be strictly increasing")
-        n, last = n + len(block), block.trial[-1]
-        yield block
+        n, last = n + len(rows), rows["trial"][-1]
+        yield rows
     check_sidecar(path, {"format": STREAM_FORMAT, "columns": list(CSV_HEADER), "n_trials": n})
 
 
 def read_stream_csv(path) -> TrialStream:
     """Read a whole stream file; a sidecar, when present, must agree with it."""
-    columns = list(zip(*((s.trial, s.x, s.y, s.a, s.b) for s in read_stream_blocks(path))))
-    return TrialStream(*map(np.concatenate, columns)) if columns else TrialStream([], [], [], [], [])
-
-
-def stream_digest(path) -> str:
-    """SHA-256 of a stream file, for reproducibility assertions."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    rows = np.concatenate([np.empty(0, STREAM_ROW), *read_stream_blocks(path)])
+    return TrialStream(*(rows[name] for name in CSV_HEADER))

@@ -13,11 +13,16 @@ from hypothesis import given, strategies as st
 from contextlab.analysis import estimate_correlations
 from contextlab.cli import TABLE, TESTS, emit_plot_data, parse_angle, parse_angle_list, run_command
 from contextlab.models import SettingPair
-from contextlab.simulate import read_stream_csv, stream_digest
+from contextlab.simulate import read_stream_csv
 
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
+
+
+def stream_digest(path) -> str:
+    """SHA-256 of a file, for reproducibility assertions."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run(argv, capsys=None):
@@ -176,6 +181,17 @@ def test_non_finite_selective_parameters_are_data_errors(tmp_path):
     assert run(base + ["--sharpness", "inf"]) == 2
     assert run(base + ["--sharpness", "1", "--asymmetry", "nan"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--n-trials", "--chunk-size"])
+def test_a_refused_run_keeps_the_stream_already_at_its_out_path(tmp_path, flag):
+    out = tmp_path / "s.csv"
+    base = ["bell-run", "--n-trials", "50", "--schedule-seed", "1", "--out", str(out)]
+    assert run(base) == 0
+    sidecar = tmp_path / "s.csv.meta.json"
+    before = out.read_bytes(), sidecar.read_bytes()
+    assert run(base + [flag, "0"]) == 2
+    assert (out.read_bytes(), sidecar.read_bytes()) == before
 
 
 def test_importing_the_cli_and_generating_load_no_scipy(tmp_path):

@@ -141,7 +141,10 @@ def test_run_counts_equals_folding_run_experiment(case, mode, n_trials, chunk_si
     counts = run_counts(model, schedule, n_trials, seed, chunk_size)
     stream = run_experiment(model, schedule, n_trials, seed, chunk_size)
     folded = PairCounts.from_stream(stream)
-    assert per_pair(counts) == per_pair(folded)
+    assert (counts.x_settings, counts.y_settings) == (folded.x_settings, folded.y_settings)
+    assert counts.pairs == folded.pairs
+    assert counts.counts.dtype == folded.counts.dtype
+    assert np.array_equal(counts.counts, folded.counts)
     assert estimate_fields(estimate_correlations(counts)) == estimate_fields(
         estimate_correlations(stream)
     )

@@ -294,6 +294,33 @@ def test_streamed_fold_of_a_written_file_equals_folding_the_stream(stream, block
     assert_same_counts(folded, PairCounts.from_stream(stream))
 
 
+def test_settings_first_seen_in_a_later_block_fold_like_the_whole_stream(tmp_path, monkeypatch):
+    # the second block brings a new setting (1.0), a raw alias of one already
+    # seen (2*pi for 0.0) and a -0.0, each extending the carried settings table
+    head = [(0, 0.0, 0.5, 1, -1), (1, 0.25, 0.5, 0, 1), (2, 0.0, 0.5, 1, 1)]
+    tail = [(3, 2 * math.pi, 0.5, -1, -1), (4, 1.0, -0.0, 1, 0), (5, -0.0, 0.5, 0, 0),
+            (6, 1.0, 0.5, -1, 1), (7, 0.25, -0.0, 1, 1)]
+    text = [
+        "".join(f"{t},{x!r},{y!r},{a},{b}\r\n" for t, x, y, a, b in rows) for rows in (head, tail)
+    ]
+    path = tmp_path / "s.csv"
+    path.write_text(HEADER + "".join(text), newline="")
+    monkeypatch.setattr(simulate, "READ_BLOCK_BYTES", len(text[0]))
+    blocks = list(read_stream_blocks(path))
+    assert blocks[0]["trial"].tolist() == [0, 1, 2] and sum(map(len, blocks)) == 8
+    assert all(block.dtype == simulate.STREAM_ROW for block in blocks)
+    folded = PairCounts.from_blocks(blocks)
+    assert_same_counts(folded, PairCounts.from_stream(read_stream_csv(path)))
+    brute: dict = {}
+    for _, x, y, a, b in head + tail:
+        cell = brute.setdefault((normalize_angle(x), normalize_angle(y)), np.zeros((3, 3), int))
+        cell[a + 1, b + 1] += 1
+    assert folded.x_settings == (0.0, 0.25, 1.0) and folded.y_settings == (0.0, 0.5)
+    found = [((folded.x_settings[i], folded.y_settings[j]), folded.counts[i, j].tolist())
+             for i, j in folded.pairs]
+    assert found == [(key, cell.tolist()) for key, cell in brute.items()]
+
+
 # schedule settings with signed zeros, subnormals, 2*pi aliases and large angles
 SETTING_LISTS = st.lists(
     st.one_of(

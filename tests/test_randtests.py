@@ -393,6 +393,8 @@ def chi_square_points(draw):
 @example((120, 0.001))  # log1p(lam - 1) lost 3.9e-10 here
 @example((19, 1450.0))  # x >= 700 with a < 10
 @example((5999, 5999.0))
+@example((1, 5e-324))  # stat / 2 underflowed to 0 here
+@example((1, 1.5e-323))  # and lost a bit here: the lower tail was 15.5% off
 def test_chi_square_tails_match_mpmath(point):
     dof, stat = point
     lower, upper = chi_square_tails(dof, stat)

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from contextlab.simulate import (
     read_stream_csv,
     run_counts,
     run_experiment,
-    stream_digest,
     stream_metadata,
     wing_outcome,
     write_run_csv,
@@ -34,6 +35,11 @@ from contextlab.simulate import (
 )
 
 PI = math.pi
+
+
+def stream_digest(path) -> str:
+    """SHA-256 of a file, for reproducibility assertions."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def constant_finite_model():
