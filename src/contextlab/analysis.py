@@ -1,19 +1,19 @@
 """Correlation estimation, CHSH combinations, and no-signaling reports.
 
-Every Bell estimate is a function of the outcome-count tensor
-`counts[x, y, a, b]` of `simulate.PairCounts`.  One fold builds it, whether
-from generated chunks (`simulate.run_counts`), from a stream's slices
-(`PairCounts.from_stream`) or from a stream file's blocks
-(`PairCounts.from_blocks`), and all three give equal counts.
+Every Bell estimate is a function of `simulate.PairCounts`: the setting pairs
+that occur and one 3x3 block of outcome counts `counts[k, a, b]` per pair.
+One fold builds it from generated chunks (`simulate.run_counts`), from
+`STREAM_ROW` records (`PairCounts.from_stream`) or from a stream file's blocks
+(`PairCounts.from_blocks`), and all three agree in every field.
 The raw expectation keeps non-detections in the product (a zero outcome
 contributes a zero product), which puts the estimator on the same footing as
 the exact finite-model contraction; the coincidence expectation conditions on
 both wings having clicked.  Both come with standard errors from exact integer
-moments.  The no-signaling tables sum the same tensor over the other wing's
-outcomes.  The shared-space bound is established constructively:
-enumerating all deterministic +-1 assignments to the four CHSH observables
-shows every vertex reaches |S| = 2 and none exceeds it, and mixtures are
-convex combinations of vertices.
+moments.  The no-signaling tables sum the same blocks over the other wing's
+outcomes.  One helper forms every CHSH combination.  The shared-space bound
+is established constructively: enumerating all deterministic +-1 assignments
+to the four CHSH observables shows every vertex reaches |S| = 2 and none
+exceeds it, and mixtures are convex combinations of vertices.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import IncompleteDesignError, InsufficientDataError
 from .models import SettingPair
 from .randtests import TestReport, check_alpha, chi_square_table
-from .simulate import TILE, PairCounts, SelectiveModel, SettingsSchedule, TrialStream, run_counts
+from .simulate import TILE, PairCounts, SelectiveModel, SettingsSchedule, run_counts
 
 # standard maximizer for cosine-law correlations in the 2*theta convention
 DEFAULT_CHSH_SETTINGS = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
@@ -69,7 +69,7 @@ class CorrelationEstimate:
         raise ValueError(f"mode must be 'raw' or 'coincidence', got {mode!r}")
 
 
-def _counted(stream: TrialStream | PairCounts) -> PairCounts:
+def _counted(stream: np.ndarray | PairCounts) -> PairCounts:
     return stream if isinstance(stream, PairCounts) else PairCounts.from_stream(stream)
 
 
@@ -98,23 +98,28 @@ def _estimate(pair: SettingPair, counts: np.ndarray) -> CorrelationEstimate:
 
 
 def estimate_correlations(
-    stream: TrialStream | PairCounts,
+    stream: np.ndarray | PairCounts,
 ) -> dict[SettingPair, CorrelationEstimate]:
     """One estimate per setting pair (angles taken modulo 2*pi), in order of
-    first appearance; a stream is folded into `PairCounts` first."""
+    first appearance; `STREAM_ROW` records are folded into `PairCounts` first."""
     folded = _counted(stream)
     if len(folded) == 0:
         raise InsufficientDataError("empty stream")
     estimates: dict[SettingPair, CorrelationEstimate] = {}
-    for i, j in folded.pairs:
+    for (i, j), counts in zip(folded.pairs, folded.counts):
         pair = SettingPair(folded.x_settings[i], folded.y_settings[j])
-        estimates[pair] = _estimate(pair, folded.counts[i, j])
+        estimates[pair] = _estimate(pair, counts)
     return estimates
 
 
 # ---------------------------------------------------------------------------
 # CHSH
 # ---------------------------------------------------------------------------
+
+
+def _chsh_combination(e_ab, e_abp, e_apb, e_apbp):
+    """E(a,b) - E(a,b') + E(a',b) + E(a',b'), summed left to right."""
+    return e_ab - e_abp + e_apb + e_apbp
 
 
 @dataclass(frozen=True)
@@ -153,11 +158,10 @@ def chsh(
         e, se = estimates[pair].expectation(mode)
         values.append(e)
         variances.append(se**2)
-    s = values[0] - values[1] + values[2] + values[3]
     return ChshResult(
         settings=(a, a_prime, b, b_prime),
         mode=mode,
-        s_value=float(s),
+        s_value=float(_chsh_combination(*values)),
         se=float(math.sqrt(sum(variances))),
         terms=tuple(values),
     )
@@ -187,7 +191,7 @@ def lhv_bound_enumeration() -> LhvBoundResult:
     best: list[tuple] = []
     max_abs = 0.0
     for aa, ap, bb, bp in itertools.product((-1, 1), repeat=4):
-        s = aa * bb - aa * bp + ap * bb + ap * bp
+        s = _chsh_combination(aa * bb, aa * bp, ap * bb, ap * bp)
         rows.append((aa, ap, bb, bp, s))
         if abs(s) > max_abs:
             max_abs = abs(s)
@@ -227,20 +231,26 @@ class NoSignalingReport:
 
 
 def _singles_tests(
-    folded: PairCounts, tensor: np.ndarray, label: str, alpha: float
+    folded: PairCounts, counts: np.ndarray, label: str, alpha: float
 ) -> list[TestReport]:
-    """Chi-square tests of each wing's outcome counts (`tensor` summed over the
-    other wing's outcomes) across the counterpart settings that have trials."""
+    """Chi-square tests of each wing's outcome counts (`counts`' per-pair blocks
+    summed over the other wing's outcomes) across the counterpart settings that
+    have trials, in order of value: the settings tables are sorted."""
     reports = []
-    for wing, own, other, singles in (
-        ("A", folded.x_settings, folded.y_settings, tensor.sum(axis=3)),
-        ("B", folded.y_settings, folded.x_settings, tensor.sum(axis=2).transpose(1, 0, 2)),
+    for wing, own, other, order, singles in (
+        ("A", folded.x_settings, folded.y_settings, 1, counts.sum(axis=2)),
+        ("B", folded.y_settings, folded.x_settings, -1, counts.sum(axis=1)),
     ):
-        for i in sorted(range(len(own)), key=own.__getitem__):
-            rows = sorted(np.flatnonzero(singles[i].sum(axis=1)).tolist(), key=other.__getitem__)
+        groups: dict[int, dict[int, np.ndarray]] = {}
+        for pair, row in zip(folded.pairs, singles):
+            i, j = pair[::order]  # (own, counterpart)
+            if row.any():
+                groups.setdefault(i, {})[j] = row
+        for i in sorted(groups):
+            rows = sorted(groups[i])
             if len(rows) < 2:
                 continue
-            table = singles[i, rows]
+            table = np.array([groups[i][j] for j in rows])
             stat, dof, p = chi_square_table(table)
             reports.append(
                 TestReport(
@@ -260,7 +270,7 @@ def _singles_tests(
 
 
 def no_signaling_report(
-    stream: TrialStream | PairCounts,
+    stream: np.ndarray | PairCounts,
     alpha_raw: float = 0.01,
     alpha_postselected: float = 0.001,
 ) -> NoSignalingReport:
@@ -324,11 +334,8 @@ def quadrature_chsh(
 ) -> float:
     a, ap, b, bp = settings
     key = "coincidence_expectation" if mode == "coincidence" else "raw_expectation"
-    e = {
-        (xx, yy): model_curves(model, xx, yy)[key]
-        for xx, yy in ((a, b), (a, bp), (ap, b), (ap, bp))
-    }
-    return e[(a, b)] - e[(a, bp)] + e[(ap, b)] + e[(ap, bp)]
+    pairs = ((a, b), (a, bp), (ap, b), (ap, bp))
+    return _chsh_combination(*(model_curves(model, xx, yy)[key] for xx, yy in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +391,21 @@ def calibration_sweep(
         raise InsufficientDataError("sharpness grid must be nonempty")
     a, ap, b, bp = settings
     pair_list = ((a, b), (a, bp), (ap, b), (ap, bp))
-    signs = (1.0, -1.0, 1.0, 1.0)
     rows = []
     for di, d in enumerate(d_grid):
         model = SelectiveModel(float(d), asymmetry)
         s_quad = quadrature_chsh(model, settings, "coincidence")
-        s_mc = 0.0
+        terms = []
         min_rate = 1.0
         for pi, (xx, yy) in enumerate(pair_list):
             schedule = SettingsSchedule("cycle", (xx,), (yy,))
             folded = run_counts(
                 model, schedule, trials_per_point, master_seed=(master_seed, di, pi)
             )
-            est = _estimate(SettingPair(xx, yy), folded.counts[0, 0])
-            e, _ = est.expectation("coincidence")
-            s_mc += signs[pi] * e
+            est = _estimate(SettingPair(xx, yy), folded.counts[0])
+            terms.append(est.expectation("coincidence")[0])
             min_rate = min(min_rate, est.n_coincidences / est.n_trials)
+        s_mc = _chsh_combination(*terms)
         rows.append(
             SweepRow(
                 sharpness=float(d),

@@ -61,7 +61,8 @@ READ_BLOCK_BYTES = 1 << 18  # a stream file is parsed this many bytes at a time
 WRITE_BATCH_ROWS = 1 << 14  # and its text is built this many rows at a time
 STREAM_FORMAT = "trial-stream/1"
 CSV_HEADER = ("trial", "x_rad", "y_rad", "a", "b")
-STREAM_ROW = np.dtype(list(zip(CSV_HEADER, ("i8", "f8", "f8", "i1", "i1"))))
+# one stream row, in memory and as parsed from a file: its CSV columns in order
+STREAM_ROW = np.dtype([("trial", "i8"), ("x", "f8"), ("y", "f8"), ("a", "i1"), ("b", "i1")])
 
 
 # ---------------------------------------------------------------------------
@@ -147,62 +148,30 @@ def source_angles(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-class TrialStream:
-    """Column-oriented trial storage."""
-
-    def __init__(self, trial, x, y, a, b):
-        trial, a, b = np.asarray(trial), np.asarray(a), np.asarray(b)
-        if not _fits_int64(trial):
-            raise StreamFormatError("trial indices must be integers in the int64 range")
-        self.trial = np.ascontiguousarray(trial, dtype=np.int64)
-        self.x = np.ascontiguousarray(x, dtype=float)
-        self.y = np.ascontiguousarray(y, dtype=float)
-        if not (len(self.x) == len(self.y) == len(a) == len(b) == len(self.trial)):
-            raise StreamFormatError("stream columns have unequal lengths")
-        # outcomes are checked before narrowing, which would wrap or refuse 255 and truncate 1.5
-        _check_rows(self.trial, self.x, self.y, a, b)
-        self.a = np.ascontiguousarray(a, dtype=np.int8)
-        self.b = np.ascontiguousarray(b, dtype=np.int8)
-
-    def __len__(self) -> int:
-        return len(self.trial)
-
-
-def _check_rows(trial, x, y, a, b) -> None:
-    """Raise `StreamFormatError` unless the columns are valid rows: outcomes in
-    {-1, 0, +1}, strictly increasing trial indices and finite settings."""
-    if not (_are_outcomes(a) and _are_outcomes(b)):
+def _check_rows(rows) -> None:
+    """Raise `StreamFormatError` unless `rows` are valid `STREAM_ROW` records:
+    outcomes in {-1, 0, +1}, strictly increasing trial indices and finite
+    settings.  Any other dtype is refused before a value is read, so no value
+    is ever narrowed."""
+    if getattr(rows, "dtype", None) != STREAM_ROW or rows.ndim != 1:
+        raise StreamFormatError(f"a stream must be a 1-d array of STREAM_ROW records {STREAM_ROW}")
+    if len(rows) and not all(rows[w].min() >= -1 and rows[w].max() <= 1 for w in "ab"):
         raise StreamFormatError("outcomes must be in {-1, 0, +1}")
-    if not np.all(trial[1:] > trial[:-1]):  # np.diff would wrap around int64
+    if not np.all(rows["trial"][1:] > rows["trial"][:-1]):  # np.diff would wrap around int64
         raise StreamFormatError("trial indices must be strictly increasing")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.all(np.isfinite(rows["x"])) and np.all(np.isfinite(rows["y"]))):
         raise StreamFormatError("settings must be finite angles")
-
-
-def _are_outcomes(values: np.ndarray) -> bool:
-    """Whether every value is -1, 0 or +1; integer columns by their range, with no temporary."""
-    if values.dtype.kind in "biu":
-        return values.size == 0 or bool(values.min() >= -1 and values.max() <= 1)
-    return bool(np.isin(values, (-1, 0, 1)).all())
-
-
-def _fits_int64(values: np.ndarray) -> bool:
-    """Whether narrowing to int64 keeps every value: no truncation, no wrap."""
-    if values.dtype.kind == "f":
-        return bool(np.all((np.trunc(values) == values) & (abs(values) < 2.0**63)))
-    # object arrays, numpy's form for Python ints beyond 64 bits, are refused
-    return values.dtype.kind in "bi" or (values.dtype.kind == "u" and values.max(initial=0) < 2**63)
 
 
 @dataclass(frozen=True)
 class PairCounts:
     """Outcome counts per setting pair, the sufficient statistic of a stream.
 
-    `counts[i, j, a + 1, b + 1]` (int64) is the number of trials at settings
-    (x_settings[i], y_settings[j]) whose outcomes were (a, b).  The settings
+    `pairs[k] = (i, j)` is a setting pair that occurs, (x_settings[i],
+    y_settings[j]), in order of first appearance, and `counts[k, a + 1, b + 1]`
+    (int64) the number of its trials whose outcomes were (a, b).  The settings
     tables are the sorted distinct settings that occur, normalized to
-    [0, 2*pi), so two raw angles that name the same setting share one row;
-    `pairs` lists the (i, j) that occur, in order of first appearance.
+    [0, 2*pi), so two raw angles that name the same setting share one entry.
     """
 
     x_settings: tuple[float, ...]
@@ -214,25 +183,25 @@ class PairCounts:
         return int(self.counts.sum())
 
     @classmethod
-    def from_stream(cls, stream: TrialStream) -> "PairCounts":
-        """The counts of a stream, folded `DEFAULT_CHUNK_SIZE` rows at a time."""
-        rows = (slice(k, k + DEFAULT_CHUNK_SIZE) for k in range(0, len(stream), DEFAULT_CHUNK_SIZE))
-        return _fold(_indexed((stream.x[r], stream.y[r], stream.a[r], stream.b[r]) for r in rows))
+    def from_stream(cls, stream: np.ndarray) -> "PairCounts":
+        """The counts of checked `STREAM_ROW` records, folded by `DEFAULT_CHUNK_SIZE` rows."""
+        _check_rows(stream)
+        size = DEFAULT_CHUNK_SIZE
+        return cls.from_blocks(stream[k : k + size] for k in range(0, len(stream), size))
 
     @classmethod
     def from_blocks(cls, blocks) -> "PairCounts":
         """`from_stream` of the concatenated `STREAM_ROW` blocks, folded one block at a time."""
-        columns = ((rows["x_rad"], rows["y_rad"], rows["a"], rows["b"]) for rows in blocks)
-        return _fold(_indexed(columns))
+        return _fold(_indexed(blocks))
 
 
-def _indexed(columns):
-    """Yield `(xs, ys, xi, yi, a, b)` per `(x, y, a, b)` block, indexing the
+def _indexed(blocks):
+    """Yield `(xs, ys, xi, yi, a, b)` per `STREAM_ROW` block, indexing the
     settings into sorted tables of the raw values seen so far."""
     xs = ys = np.empty(0)
-    for x, y, a, b in columns:
-        (xs, xi), (ys, yi) = _lookup(xs, x), _lookup(ys, y)
-        yield xs, ys, xi, yi, a, b
+    for rows in blocks:
+        (xs, xi), (ys, yi) = _lookup(xs, rows["x"]), _lookup(ys, rows["y"])
+        yield xs, ys, xi, yi, rows["a"], rows["b"]
 
 
 def _lookup(table, column):
@@ -250,28 +219,34 @@ def _fold(blocks) -> PairCounts:
 
     `xs` and `ys` are raw setting tables and `xi`, `yi` each trial's index
     into them.  One bincount per block over the cell code
-    ((xi*ny + yi)*3 + a+1)*3 + b+1; the cells are keyed by normalized setting
-    pair in order of first appearance, and only a block holding a pair not
-    seen before is sorted for first appearances.
+    (pair*3 + a+1)*3 + b+1, pair = xi*ny + yi, or, when the tables hold more
+    pairs than the block has trials, over the codes of the pairs that occur, so
+    memory stays linear in the stream.  The cells are keyed by normalized
+    setting pair in order of first appearance, and only a block holding a pair
+    not seen before is sorted for first appearances.
     """
     cells: dict[tuple[float, float], np.ndarray] = {}
     for xs, ys, xi, yi, a, b in blocks:
         ny = len(ys)
         pair = xi * ny + yi
-        block = np.bincount(_cell_codes(pair, a, b), minlength=len(xs) * ny * 9).reshape(-1, 9)
-        nxs, nys = [normalize_angle(v) for v in xs], [normalize_angle(v) for v in ys]
-        keys = {p: (nxs[p // ny], nys[p % ny]) for p in np.flatnonzero(block.any(axis=1)).tolist()}
-        if any(key not in cells for key in keys.values()):
-            codes, first = np.unique(pair, return_index=True)
-            for p in codes[np.argsort(first)].tolist():
-                cells.setdefault(keys[p], np.zeros(9, np.int64))
-        for p, key in keys.items():
-            cells[key] += block[p]
+        if len(xs) * ny > len(pair):  # more pairs than trials: bin only those that occur
+            occurring, first, index = np.unique(pair, return_index=True, return_inverse=True)
+        else:
+            occurring, first, index = np.arange(len(xs) * ny), None, pair
+        block = np.bincount(_cell_codes(index, a, b), minlength=len(occurring) * 9).reshape(-1, 9)
+        seen = block.any(axis=1)
+        codes, block = occurring[seen].tolist(), block[seen]
+        keys = [(normalize_angle(xs[p // ny]), normalize_angle(ys[p % ny])) for p in codes]
+        if any(key not in cells for key in keys):
+            if first is None:  # the pairs that occur are np.unique's sorted codes
+                first = np.unique(pair, return_index=True)[1]
+            for k in np.argsort(first).tolist():
+                cells.setdefault(keys[k], np.zeros(9, np.int64))
+        for key, cell in zip(keys, block):
+            cells[key] += cell
     xs, ys = sorted({x for x, _ in cells}), sorted({y for _, y in cells})
     xi, yi = ({v: i for i, v in enumerate(table)} for table in (xs, ys))
-    counts = np.zeros((len(xs), len(ys), 3, 3), dtype=np.int64)
-    for (x, y), cell in cells.items():
-        counts[xi[x], yi[y]] = cell.reshape(3, 3)
+    counts = np.array([*cells.values()], dtype=np.int64).reshape(-1, 3, 3)
     pairs = tuple((xi[x], yi[y]) for x, y in cells)
     return PairCounts(tuple(xs), tuple(ys), counts, pairs)
 
@@ -387,17 +362,20 @@ def run_experiment(
     n_trials: int,
     master_seed,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> TrialStream:
-    """Generate `n_trials` records; bit-identical for identical arguments."""
+) -> np.recarray:
+    """Generate `n_trials` `STREAM_ROW` records, trials 0 to n_trials - 1, as a
+    `np.recarray` (`.trial`, `.x`, `.y`, `.a`, `.b`); bit-identical for
+    identical arguments."""
     chunks = _chunks(model, schedule, n_trials, master_seed, chunk_size)
-    x, y = np.empty(n_trials), np.empty(n_trials)
-    a, b = np.empty(n_trials, np.int8), np.empty(n_trials, np.int8)
-    for k, (xs, ys, xi, yi, a_k, b_k) in enumerate(chunks):
-        rows = slice(k * chunk_size, k * chunk_size + len(a_k))
-        np.take(xs, xi, out=x[rows])
-        np.take(ys, yi, out=y[rows])
-        a[rows], b[rows] = a_k, b_k
-    return TrialStream(np.arange(n_trials), x, y, a, b)
+    stream = np.empty(n_trials, STREAM_ROW).view(np.recarray)
+    for k, (xs, ys, xi, yi, a, b) in enumerate(chunks):
+        start = k * chunk_size
+        rows = stream[start : start + len(a)]
+        rows.trial = np.arange(start, start + len(a))
+        np.take(xs, xi, out=rows.x)
+        np.take(ys, yi, out=rows.y)
+        rows.a, rows.b = a, b
+    return stream
 
 
 def run_counts(
@@ -576,19 +554,18 @@ def write_run_csv(
     write_rows(path, CSV_HEADER, blocks, tail, metadata)
 
 
-def write_stream_csv(stream: TrialStream, path, metadata: dict | None = None) -> None:
-    """Write `trial,x_rad,y_rad,a,b` rows plus a metadata sidecar.
+def write_stream_csv(stream: np.ndarray, path, metadata: dict | None = None) -> None:
+    """Write checked `STREAM_ROW` records as `trial,x_rad,y_rad,a,b` rows and a sidecar.
 
     Floats are written with repr (shortest round-trip form), so rewriting the
     same stream is byte-identical and reading back is lossless.  Settings are
     keyed on their bits, so -0.0 keeps its own repr.
     """
-    (xs, xi), (ys, yi) = (
-        np.unique(column.view(np.int64), return_inverse=True) for column in (stream.x, stream.y)
-    )
-    codes = _cell_codes(xi * len(ys) + yi, stream.a, stream.b)
+    _check_rows(stream)
+    (xs, xi), (ys, yi) = (np.unique(stream[c].view(np.int64), return_inverse=True) for c in "xy")
+    codes = _cell_codes(xi * len(ys) + yi, stream["a"], stream["b"])
     tail = _cell_tail(xs.view(float).tolist(), ys.view(float).tolist())
-    write_rows(path, CSV_HEADER, [(stream.trial, codes)], tail, metadata)
+    write_rows(path, CSV_HEADER, [(stream["trial"], codes)], tail, metadata)
 
 
 def check_sidecar(path, expected: dict) -> None:
@@ -612,7 +589,7 @@ def read_stream_blocks(path) -> Iterator[np.ndarray]:
     """
     n, last = 0, None
     for rows in read_rows(path, CSV_HEADER, STREAM_ROW):
-        _check_rows(*(rows[name] for name in CSV_HEADER))
+        _check_rows(rows)
         if last is not None and rows["trial"][0] <= last:
             raise StreamFormatError("trial indices must be strictly increasing")
         n, last = n + len(rows), rows["trial"][-1]
@@ -620,7 +597,7 @@ def read_stream_blocks(path) -> Iterator[np.ndarray]:
     check_sidecar(path, {"format": STREAM_FORMAT, "columns": list(CSV_HEADER), "n_trials": n})
 
 
-def read_stream_csv(path) -> TrialStream:
-    """Read a whole stream file; a sidecar, when present, must agree with it."""
-    rows = np.concatenate([np.empty(0, STREAM_ROW), *read_stream_blocks(path)])
-    return TrialStream(*(rows[name] for name in CSV_HEADER))
+def read_stream_csv(path) -> np.recarray:
+    """Read a whole stream file as `run_experiment`'s `STREAM_ROW` records; a
+    sidecar, when present, must agree with it."""
+    return np.concatenate([np.empty(0, STREAM_ROW), *read_stream_blocks(path)]).view(np.recarray)

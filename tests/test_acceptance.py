@@ -48,10 +48,10 @@ from contextlab.simulate import (
     MalusModel,
     SelectiveModel,
     SettingsSchedule,
-    TrialStream,
     run_counts,
     run_experiment,
 )
+from stream_records import records
 
 A, AP, B, BP = DEFAULT_CHSH_SETTINGS
 
@@ -167,7 +167,7 @@ def test_criterion_2_raw_no_signaling_exactness():
         ]
         assert va[0] == va[1], f"Alice counts differ across Bob settings at x={x}"
     x_col, y_col, a_col, b_col = zip(*rows)
-    stream = TrialStream(np.arange(len(rows)), x_col, y_col, a_col, b_col)
+    stream = records(x_col, y_col, a_col, b_col)
     report = no_signaling_report(stream)
     for t in report.raw_tests:
         assert t.p_value == 1.0 and not t.reject

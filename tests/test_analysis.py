@@ -27,9 +27,9 @@ from contextlab.simulate import (
     MalusModel,
     SelectiveModel,
     SettingsSchedule,
-    TrialStream,
     run_experiment,
 )
+from stream_records import records
 
 PI = math.pi
 A, AP, B, BP = DEFAULT_CHSH_SETTINGS
@@ -37,8 +37,7 @@ A, AP, B, BP = DEFAULT_CHSH_SETTINGS
 
 def synthetic_stream(rows):
     """rows: list of (x, y, a, b)."""
-    x, y, a, b = zip(*rows)
-    return TrialStream(np.arange(len(rows)), x, y, a, b)
+    return records(*zip(*rows))
 
 
 def make_estimate(x, y, raw, se=0.0, coincidence=None, coincidence_se=None):
@@ -109,7 +108,7 @@ def test_angles_equal_modulo_two_pi_count_every_trial():
 
 def test_empty_stream_rejected():
     with pytest.raises(InsufficientDataError):
-        estimate_correlations(TrialStream([], [], [], [], []))
+        estimate_correlations(records([], [], [], []))
 
 
 # --- CHSH -----------------------------------------------------------------------
@@ -239,9 +238,7 @@ def test_shuffled_bob_column_factorizes_coincidences():
     model = SelectiveModel(sharpness=2.0, asymmetry=0.25)
     stream = run_experiment(model, SettingsSchedule("cycle", (A,), (B,)), 300000, 15)
     rng = np.random.default_rng(0)
-    shuffled = TrialStream(
-        stream.trial, stream.x, stream.y, stream.a, rng.permutation(stream.b)
-    )
+    shuffled = records(stream.x, stream.y, stream.a, rng.permutation(stream.b), stream.trial)
     est = estimate_correlations(shuffled)[SettingPair(A, B)]
     mask = (shuffled.a != 0) & (shuffled.b != 0)
     m_a = float(shuffled.a[mask].mean())

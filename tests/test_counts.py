@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from contextlab import simulate
@@ -18,10 +18,10 @@ from contextlab.simulate import (
     PairCounts,
     SelectiveModel,
     SettingsSchedule,
-    TrialStream,
     run_counts,
     run_experiment,
 )
+from stream_records import records
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -52,15 +52,14 @@ trial_rows = st.lists(
 
 
 def as_stream(rows):
-    x, y, a, b = zip(*rows)
-    return TrialStream(np.arange(len(rows)), x, y, a, b)
+    return records(*zip(*rows))
 
 
 def per_pair(counts: PairCounts) -> list:
     """((x, y), 3x3 counts) for every occurring pair, in first-appearance order."""
     return [
-        ((counts.x_settings[i], counts.y_settings[j]), counts.counts[i, j].tolist())
-        for i, j in counts.pairs
+        ((counts.x_settings[i], counts.y_settings[j]), cell.tolist())
+        for (i, j), cell in zip(counts.pairs, counts.counts)
     ]
 
 
@@ -84,7 +83,11 @@ def exact_se(n: int, s1: int, s2: int) -> Decimal:
 
 
 @PROPERTY
-@given(trial_rows, st.integers(1, 250))
+# slices shorter than the settings tables' product, which bin only the pairs
+# that occur, and slices at least as long, which bin every pair of the tables
+@given(trial_rows, st.one_of(st.integers(1, 8), st.integers(1, 250)))
+@example([(x, y, 1, -1) for x in ANGLES for y in ANGLES[:3]], 5)
+@example([(0.0, TWO_PI, 0, 1), (PI / 8, 1.0, -1, -1), (-TWO_PI, 0.0, 1, 0)] * 4, 200)
 def test_fold_equals_per_trial_counting(rows, slice_rows):
     brute: dict = {}
     for x, y, a, b in rows:
@@ -113,6 +116,22 @@ def test_fold_memory_stays_at_one_slice_not_the_stream():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20, peak
+
+
+def test_fold_memory_is_linear_in_a_stream_of_distinct_settings():
+    # binning every pair of the settings tables peaked at 144 MB for these 1,000
+    # distinct settings, quadratic in their number; the pairs that occur take 0.7 MB
+    rng = np.random.default_rng(39)
+    stream = records(rng.random(1000) * 6, rng.random(1000) * 6, *rng.integers(-1, 2, (2, 1000)))
+    PairCounts.from_stream(as_stream([(0.0, 0.0, 1, 1)]))
+    tracemalloc.start()
+    try:
+        folded = PairCounts.from_stream(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert folded.counts.shape == (1000, 3, 3) and len(folded) == 1000
+    assert peak < 8 * 2**20, peak
 
 
 def finite_case(seed):
@@ -188,7 +207,7 @@ def test_estimates_from_counts_match_masked_numpy(rows):
     a = np.array([r[1] for r in rows], dtype=np.int64)
     b = np.array([r[2] for r in rows], dtype=np.int64)
     y = np.full(len(x), PI / 8)
-    estimates = estimate_correlations(TrialStream(np.arange(len(x)), x, y, a, b))
+    estimates = estimate_correlations(records(x, y, a, b))
     assert sum(est.n_trials for est in estimates.values()) == len(rows)
     for pair, est in estimates.items():
         products = (a * b)[x == pair.x]

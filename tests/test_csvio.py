@@ -22,7 +22,6 @@ from contextlab.simulate import (
     PairCounts,
     SelectiveModel,
     SettingsSchedule,
-    TrialStream,
     meta_path,
     read_stream_blocks,
     read_stream_csv,
@@ -31,6 +30,7 @@ from contextlab.simulate import (
     write_run_csv,
     write_stream_csv,
 )
+from stream_records import records
 
 PROPERTY = settings(
     max_examples=200,
@@ -84,15 +84,15 @@ def streams(draw):
     )
     start = draw(st.integers(-(2**40), 2**40))
     if not rows:
-        return TrialStream([], [], [], [], [])
+        return records([], [], [], [])
     steps, x, y, a, b = zip(*rows)
-    return TrialStream(start + np.cumsum(steps), x, y, a, b)
+    return records(x, y, a, b, trial=start + np.cumsum(steps))
 
 
 @PROPERTY
 @given(streams())
 # both zeros in one column: a writer keyed on values rather than bits merges them
-@example(TrialStream([0, 1, 2], [0.0, -0.0, 0.0], [-0.0, 5e-324, 0.0], [1, 0, -1], [-1, 0, 1]))
+@example(records([0.0, -0.0, 0.0], [-0.0, 5e-324, 0.0], [1, 0, -1], [-1, 0, 1]))
 def test_stream_round_trip_is_bit_exact_and_matches_csv_writer(stream):
     with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "s.csv", Path(tmp) / "ref.csv"
@@ -282,9 +282,7 @@ def assert_same_counts(got: PairCounts, want: PairCounts):
 
 @PROPERTY
 @given(streams(), st.integers(1, 200))
-@example(
-    TrialStream([0, 1, 2], [0.0, -0.0, 2 * math.pi], [-0.0, 5e-324, 0.0], [1, 0, -1], [-1, 0, 1]), 17
-)
+@example(records([0.0, -0.0, 2 * math.pi], [-0.0, 5e-324, 0.0], [1, 0, -1], [-1, 0, 1]), 17)
 def test_streamed_fold_of_a_written_file_equals_folding_the_stream(stream, block_bytes):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "READ_BLOCK_BYTES", block_bytes)
@@ -316,8 +314,8 @@ def test_settings_first_seen_in_a_later_block_fold_like_the_whole_stream(tmp_pat
         cell = brute.setdefault((normalize_angle(x), normalize_angle(y)), np.zeros((3, 3), int))
         cell[a + 1, b + 1] += 1
     assert folded.x_settings == (0.0, 0.25, 1.0) and folded.y_settings == (0.0, 0.5)
-    found = [((folded.x_settings[i], folded.y_settings[j]), folded.counts[i, j].tolist())
-             for i, j in folded.pairs]
+    found = [((folded.x_settings[i], folded.y_settings[j]), cell.tolist())
+             for (i, j), cell in zip(folded.pairs, folded.counts)]
     assert found == [(key, cell.tolist()) for key, cell in brute.items()]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from contextlab import simulate
+from contextlab.analysis import estimate_correlations
 from contextlab.errors import ConfigError, StreamFormatError
 from contextlab.models import (
     FiniteContextualModel,
@@ -22,8 +23,9 @@ from contextlab.seeding import substream
 from contextlab.simulate import (
     MalusModel,
     SelectiveModel,
+    STREAM_ROW,
+    PairCounts,
     SettingsSchedule,
-    TrialStream,
     discretize,
     read_stream_csv,
     run_counts,
@@ -33,6 +35,7 @@ from contextlab.simulate import (
     write_run_csv,
     write_stream_csv,
 )
+from stream_records import records
 
 PI = math.pi
 
@@ -90,7 +93,7 @@ def test_deterministic_tables_always_give_their_constants():
     m = constant_finite_model()
     for chunk_size in (1, 7, 50):
         folded = run_counts(m, SettingsSchedule("cycle", (0.0,), (0.0,)), 50, 3, chunk_size)
-        assert folded.counts[0, 0, 2, 0] == 50  # every trial gave (a, b) = (+1, -1)
+        assert folded.counts[0, 2, 0] == 50  # every trial gave (a, b) = (+1, -1)
 
 
 def test_aligned_malus_wing_always_clicks_plus():
@@ -452,6 +455,19 @@ def test_csv_round_trip_preserves_everything(tmp_path):
     assert np.array_equal(back.b, stream.b)
 
 
+def test_run_experiment_returns_the_stream_rows_that_the_benchmark_tracer_reads(tmp_path):
+    # bench/tracer.py counts a stream's bytes as the nbytes of these five attributes
+    schedule = SettingsSchedule("random", (0.0, PI / 4), (PI / 8, 3 * PI / 8), seed=2)
+    stream = run_experiment(SelectiveModel(1.5, 0.25), schedule, 1000, 7, 300)
+    assert isinstance(stream, np.recarray) and stream.dtype == STREAM_ROW
+    assert sum(getattr(stream, name).nbytes for name in ("trial", "x", "y", "a", "b")) == 26 * 1000
+    assert stream.trial.tolist() == list(range(1000))
+    write_stream_csv(stream, tmp_path / "s.csv")
+    back = read_stream_csv(tmp_path / "s.csv")
+    assert isinstance(back, np.recarray) and back.dtype == STREAM_ROW
+    assert back.tobytes() == stream.tobytes()
+
+
 def test_stream_validation_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,x,y,a,b\n0,0.0,0.0,1,1\n")
@@ -460,17 +476,45 @@ def test_stream_validation_errors(tmp_path):
     bad.write_text("trial,x_rad,y_rad,a,b\n0,0.0,0.0,7,1\n")
     with pytest.raises(StreamFormatError):
         read_stream_csv(bad)
-    with pytest.raises(StreamFormatError):
-        TrialStream([0, 0], [0, 0], [0, 0], [1, 1], [1, 1])  # repeated trial index
-    with pytest.raises(StreamFormatError):
-        TrialStream([0, 1], [0.0, float("nan")], [0, 0], [1, 1], [1, 1])
-    with pytest.raises(StreamFormatError):  # checked before narrowing to int8
-        TrialStream([0, 1], [0.0, 0.0], [0.0, 0.0], np.array([1, 255]), [1, 1])
-    with pytest.raises(StreamFormatError):
-        TrialStream([0, 1], [0.0, 0.0], [0.0, 0.0], [1.0, 0.5], [1, 1])
+    invalid = [
+        ("strictly increasing", records([0, 0], [0, 0], [1, 1], [1, 1], trial=[0, 0])),
+        ("finite", records([0.0, float("nan")], [0, 0], [1, 1], [1, 1])),
+        ("outcomes", records([0.0, 0.0], [0.0, 0.0], [1, 2], [1, 1])),
+        ("outcomes", records([0.0, 0.0], [0.0, 0.0], [1, 1], [-2, 1])),
+    ]
+    for message, stream in invalid:
+        for consume in consumers(tmp_path):
+            with pytest.raises(StreamFormatError, match=message):
+                consume(stream)
+    assert not (tmp_path / "written.csv").exists()  # refused before the file is opened
     bad.write_text("trial,x_rad,y_rad,a,b\n0,0.0,inf,1,1\n")
     with pytest.raises(StreamFormatError):
         read_stream_csv(bad)
+
+
+def consumers(tmp_path):
+    """The in-memory entries that check their stream: the fold, the estimates and the writer."""
+    return (
+        PairCounts.from_stream,
+        estimate_correlations,
+        lambda stream: write_stream_csv(stream, tmp_path / "written.csv"),
+    )
+
+
+def rows_with(field, values) -> np.ndarray:
+    """Two valid stream rows, except that `field` holds `values` in their own dtype."""
+    values = np.asarray(values)
+    dtype = [(n, values.dtype if n == field else STREAM_ROW[n]) for n in STREAM_ROW.names]
+    rows = np.zeros(2, dtype)
+    rows["trial"], rows["a"], rows["b"] = [0, 1], [1, 1], [1, 1]
+    rows[field] = values
+    return rows
+
+
+def assert_refused_as_not_stream_rows(rows, tmp_path):
+    for consume in consumers(tmp_path):
+        with pytest.raises(StreamFormatError, match="STREAM_ROW"):
+            consume(rows)
 
 
 @pytest.mark.parametrize(
@@ -484,25 +528,32 @@ def test_stream_validation_errors(tmp_path):
         np.array([0, 2**63], np.uint64),
     ],
 )
-def test_trial_indices_are_checked_before_narrowing(trial):
-    # int64 narrowing would truncate 0.5 and 1.7 to 0 and 1, and wrap or refuse 2**63
-    with pytest.raises(StreamFormatError, match="int64 range"):
-        TrialStream(trial, [0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1])
+def test_trial_indices_are_checked_before_narrowing(trial, tmp_path):
+    # int64 narrowing would truncate 0.5 and 1.7 to 0 and 1, and wrap or refuse 2**63:
+    # every trial dtype but STREAM_ROW's int64 is refused before a value is read
+    assert_refused_as_not_stream_rows(rows_with("trial", trial), tmp_path)
 
 
-def test_integral_trial_indices_of_any_dtype_are_kept():
+def test_integral_trial_indices_of_any_dtype_are_kept(tmp_path):
     for trial in ([0.0, 2.0**62], np.array([3, 2**63 - 1], np.uint64), [False, True]):
-        stream = TrialStream(trial, [0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1])
-        assert stream.trial.dtype == np.int64
-        assert stream.trial.tolist() == [int(v) for v in trial]
+        assert_refused_as_not_stream_rows(rows_with("trial", trial), tmp_path)
+        stream = records([0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1], trial=np.asarray(trial, np.int64))
+        write_stream_csv(stream, tmp_path / "kept.csv")
+        assert read_stream_csv(tmp_path / "kept.csv").trial.tolist() == [int(v) for v in trial]
+        assert len(PairCounts.from_stream(stream)) == 2
 
 
-def test_strictly_increasing_trial_indices_that_span_the_int64_range_are_kept():
+def test_strictly_increasing_trial_indices_that_span_the_int64_range_are_kept(tmp_path):
     # their np.diff wraps around int64 to a negative step
-    stream = TrialStream([-(2**63) + 1, 2**63 - 1], [0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1])
-    assert stream.trial.tolist() == [-(2**63) + 1, 2**63 - 1]
-    with pytest.raises(StreamFormatError, match="strictly increasing"):
-        TrialStream([2**63 - 1, -(2**63) + 1], [0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1])
+    extremes = [-(2**63) + 1, 2**63 - 1]
+    stream = records([0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1], trial=extremes)
+    write_stream_csv(stream, tmp_path / "s.csv")
+    assert read_stream_csv(tmp_path / "s.csv").trial.tolist() == extremes
+    assert len(PairCounts.from_stream(stream)) == 2
+    reversed_stream = records([0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1], trial=extremes[::-1])
+    for consume in consumers(tmp_path):
+        with pytest.raises(StreamFormatError, match="strictly increasing"):
+            consume(reversed_stream)
 
 
 @pytest.mark.parametrize(
@@ -519,13 +570,21 @@ def test_strictly_increasing_trial_indices_that_span_the_int64_range_are_kept():
         (np.array([1, 2**64], object), False),
     ],
 )
-def test_outcomes_of_every_dtype_are_checked_before_narrowing(outcomes, valid):
-    columns = ([0, 1], [0.0, 0.0], [0.0, 0.0], [1, 1], outcomes)
+def test_outcomes_of_every_dtype_are_checked_before_narrowing(outcomes, valid, tmp_path):
+    # narrowing to int8 would wrap 255 and 2**63 and truncate 1.5, so only
+    # STREAM_ROW's int8 outcomes are read; those in range are kept
+    assert_refused_as_not_stream_rows(rows_with("b", outcomes), tmp_path)
+    if not (-128 <= min(outcomes) and max(outcomes) < 128):
+        return  # no int8 holds these values
+    stream = records([0.0, 0.0], [0.0, 0.0], [1, 1], np.asarray(outcomes, np.int8))
     if valid:
-        assert TrialStream(*columns).b.tolist() == [int(v) for v in outcomes]
+        write_stream_csv(stream, tmp_path / "s.csv")
+        assert read_stream_csv(tmp_path / "s.csv").b.tolist() == [int(v) for v in outcomes]
+        assert len(PairCounts.from_stream(stream)) == 2
     else:
-        with pytest.raises(StreamFormatError, match="outcomes"):
-            TrialStream(*columns)
+        for consume in consumers(tmp_path):
+            with pytest.raises(StreamFormatError, match="outcomes"):
+                consume(stream)
 
 
 def test_run_experiment_validation():
