@@ -219,27 +219,21 @@ def _fold(blocks) -> PairCounts:
 
     `xs` and `ys` are raw setting tables and `xi`, `yi` each trial's index
     into them.  One bincount per block over the cell code
-    (pair*3 + a+1)*3 + b+1, pair = xi*ny + yi, or, when the tables hold more
-    pairs than the block has trials, over the codes of the pairs that occur, so
-    memory stays linear in the stream.  The cells are keyed by normalized
-    setting pair in order of first appearance, and only a block holding a pair
-    not seen before is sorted for first appearances.
+    (k*3 + a+1)*3 + b+1, k the index of the trial's pair code xi*ny + yi among
+    the block's occurring codes, so memory stays linear in the stream however
+    many settings the tables hold.  The cells are keyed by normalized setting
+    pair in order of first appearance; only a block holding a pair not seen
+    before is ordered by first appearance.
     """
     cells: dict[tuple[float, float], np.ndarray] = {}
     for xs, ys, xi, yi, a, b in blocks:
         ny = len(ys)
         pair = xi * ny + yi
-        if len(xs) * ny > len(pair):  # more pairs than trials: bin only those that occur
-            occurring, first, index = np.unique(pair, return_index=True, return_inverse=True)
-        else:
-            occurring, first, index = np.arange(len(xs) * ny), None, pair
+        occurring, index = np.unique(pair, return_inverse=True)
         block = np.bincount(_cell_codes(index, a, b), minlength=len(occurring) * 9).reshape(-1, 9)
-        seen = block.any(axis=1)
-        codes, block = occurring[seen].tolist(), block[seen]
-        keys = [(normalize_angle(xs[p // ny]), normalize_angle(ys[p % ny])) for p in codes]
+        keys = [(normalize_angle(xs[p // ny]), normalize_angle(ys[p % ny])) for p in occurring.tolist()]
         if any(key not in cells for key in keys):
-            if first is None:  # the pairs that occur are np.unique's sorted codes
-                first = np.unique(pair, return_index=True)[1]
+            first = np.unique(pair, return_index=True)[1]
             for k in np.argsort(first).tolist():
                 cells.setdefault(keys[k], np.zeros(9, np.int64))
         for key, cell in zip(keys, block):

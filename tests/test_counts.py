@@ -83,8 +83,8 @@ def exact_se(n: int, s1: int, s2: int) -> Decimal:
 
 
 @PROPERTY
-# slices shorter than the settings tables' product, which bin only the pairs
-# that occur, and slices at least as long, which bin every pair of the tables
+# slices of a few rows, whose settings tables outgrow every slice, and longer
+# slices that hold the whole stream or several pairs' first appearances
 @given(trial_rows, st.one_of(st.integers(1, 8), st.integers(1, 250)))
 @example([(x, y, 1, -1) for x in ANGLES for y in ANGLES[:3]], 5)
 @example([(0.0, TWO_PI, 0, 1), (PI / 8, 1.0, -1, -1), (-TWO_PI, 0.0, 1, 0)] * 4, 200)

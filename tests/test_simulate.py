@@ -535,6 +535,8 @@ def test_trial_indices_are_checked_before_narrowing(trial, tmp_path):
 
 
 def test_integral_trial_indices_of_any_dtype_are_kept(tmp_path):
+    # the library refuses a float, uint64 or bool trial field even when every value is
+    # integral; cast to int64 by the caller, those values are kept exactly
     for trial in ([0.0, 2.0**62], np.array([3, 2**63 - 1], np.uint64), [False, True]):
         assert_refused_as_not_stream_rows(rows_with("trial", trial), tmp_path)
         stream = records([0.0, 0.0], [0.0, 0.0], [1, 1], [1, 1], trial=np.asarray(trial, np.int64))
