@@ -1,7 +1,8 @@
 """Correlation estimation, CHSH combinations, and no-signaling reports.
 
-Every Bell estimate is a function of `simulate.PairCounts`: the setting pairs
-that occur and one 3x3 block of outcome counts `counts[k, a, b]` per pair.
+Every Bell estimate is a function of `simulate.PairCounts`: the
+`SettingPair`s that occur, which key the estimates, and one 3x3 block of
+outcome counts `counts[k, a, b]` per pair.
 One fold builds it from generated chunks (`simulate.run_counts`), from
 `STREAM_ROW` records (`PairCounts.from_stream`) or from a stream file's blocks
 (`PairCounts.from_blocks`), and all three agree in every field.
@@ -105,11 +106,7 @@ def estimate_correlations(
     folded = _counted(stream)
     if len(folded) == 0:
         raise InsufficientDataError("empty stream")
-    estimates: dict[SettingPair, CorrelationEstimate] = {}
-    for (i, j), counts in zip(folded.pairs, folded.counts):
-        pair = SettingPair(folded.x_settings[i], folded.y_settings[j])
-        estimates[pair] = _estimate(pair, counts)
-    return estimates
+    return {pair: _estimate(pair, counts) for pair, counts in zip(folded.pairs, folded.counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -235,35 +232,29 @@ def _singles_tests(
 ) -> list[TestReport]:
     """Chi-square tests of each wing's outcome counts (`counts`' per-pair blocks
     summed over the other wing's outcomes) across the counterpart settings that
-    have trials, in order of value: the settings tables are sorted."""
+    have trials, own and counterpart settings each in order of value."""
     reports = []
-    for wing, own, other, order, singles in (
-        ("A", folded.x_settings, folded.y_settings, 1, counts.sum(axis=2)),
-        ("B", folded.y_settings, folded.x_settings, -1, counts.sum(axis=1)),
-    ):
-        groups: dict[int, dict[int, np.ndarray]] = {}
+    for wing, singles in (("A", counts.sum(axis=2)), ("B", counts.sum(axis=1))):
+        groups: dict[float, dict[float, np.ndarray]] = {}
         for pair, row in zip(folded.pairs, singles):
-            i, j = pair[::order]  # (own, counterpart)
+            own, other = (pair.x, pair.y) if wing == "A" else (pair.y, pair.x)
             if row.any():
-                groups.setdefault(i, {})[j] = row
-        for i in sorted(groups):
-            rows = sorted(groups[i])
-            if len(rows) < 2:
+                groups.setdefault(own, {})[other] = row
+        for own in sorted(groups):
+            others = sorted(groups[own])
+            if len(others) < 2:
                 continue
-            table = np.array([groups[i][j] for j in rows])
+            table = np.array([groups[own][other] for other in others])
             stat, dof, p = chi_square_table(table)
             reports.append(
                 TestReport(
-                    name=f"{label}:{wing}|setting={own[i]:g}",
+                    name=f"{label}:{wing}|setting={own:g}",
                     statistic=stat,
                     null_ref=f"chi2(df={dof})",
                     p_value=p,
                     alpha=alpha,
                     n=int(table.sum()),
-                    details={
-                        "counterpart_settings": [other[j] for j in rows],
-                        "counts": table.tolist(),
-                    },
+                    details={"counterpart_settings": others, "counts": table.tolist()},
                 )
             )
     return reports
@@ -402,7 +393,7 @@ def calibration_sweep(
             folded = run_counts(
                 model, schedule, trials_per_point, master_seed=(master_seed, di, pi)
             )
-            est = _estimate(SettingPair(xx, yy), folded.counts[0])
+            est = _estimate(folded.pairs[0], folded.counts[0])
             terms.append(est.expectation("coincidence")[0])
             min_rate = min(min_rate, est.n_coincidences / est.n_trials)
         s_mc = _chsh_combination(*terms)

@@ -59,6 +59,7 @@ from .randtests import (
 )
 from .seeding import substream
 from .simulate import (
+    DEFAULT_CHUNK_SIZE,
     MalusModel,
     PairCounts,
     SelectiveModel,
@@ -452,7 +453,10 @@ def cmd_stream_test(v: dict, config: dict) -> int:
     else:
         wing = v["wing"].upper()
         column = [rows[wing.lower()] for rows in read_stream_blocks(v["stream"])]
-        indicators = ternary_to_indicators(np.concatenate([np.empty(0, np.int8), *column]))
+        outcomes = np.concatenate([np.empty(0, np.int8), *column])
+        if len(outcomes) == 0:
+            raise InsufficientDataError("empty stream")
+        indicators = ternary_to_indicators(outcomes)
         # an outcome the wing never gives has no stream to test
         doc["absent_outcomes"] = [symbol for symbol, bits in indicators.items() if not bits.any()]
         reports = [
@@ -599,7 +603,7 @@ TABLE = {
         "schedule-seed": Field(integer, 1),
         "n-trials": Field(integer, 100000),
         "master-seed": Field(integer, 0),
-        "chunk-size": Field(integer, 65536),
+        "chunk-size": Field(integer, DEFAULT_CHUNK_SIZE),
         "out": Field(text, "stream.csv"),
     }, cmd_bell_run),
     "bell-analyze": Command("estimate correlations, CHSH and no-signaling from a stream", {

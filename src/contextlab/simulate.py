@@ -49,8 +49,8 @@ from .models import (
     SETTINGS_RULE,
     WINGS,
     FiniteContextualModel,
+    SettingPair,
     check_settings,
-    normalize_angle,
     valid_settings,
 )
 from .seeding import STREAM_ALICE, STREAM_BOB, STREAM_SETTINGS, STREAM_SOURCE, substream
@@ -144,7 +144,7 @@ def source_angles(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Trial streams and their count tensor
+# Trial streams and their counts
 # ---------------------------------------------------------------------------
 
 
@@ -167,17 +167,14 @@ def _check_rows(rows) -> None:
 class PairCounts:
     """Outcome counts per setting pair, the sufficient statistic of a stream.
 
-    `pairs[k] = (i, j)` is a setting pair that occurs, (x_settings[i],
-    y_settings[j]), in order of first appearance, and `counts[k, a + 1, b + 1]`
-    (int64) the number of its trials whose outcomes were (a, b).  The settings
-    tables are the sorted distinct settings that occur, normalized to
-    [0, 2*pi), so two raw angles that name the same setting share one entry.
+    `pairs[k]` is a `SettingPair` that occurs, in order of first appearance,
+    and `counts[k, a + 1, b + 1]` (int64) the number of its trials whose
+    outcomes were (a, b).  A `SettingPair` normalizes its angles to
+    [0, 2*pi), so two raw angles that name the same setting share one pair.
     """
 
-    x_settings: tuple[float, ...]
-    y_settings: tuple[float, ...]
+    pairs: tuple[SettingPair, ...]
     counts: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return int(self.counts.sum())
@@ -221,28 +218,24 @@ def _fold(blocks) -> PairCounts:
     into them.  One bincount per block over the cell code
     (k*3 + a+1)*3 + b+1, k the index of the trial's pair code xi*ny + yi among
     the block's occurring codes, so memory stays linear in the stream however
-    many settings the tables hold.  The cells are keyed by normalized setting
-    pair in order of first appearance; only a block holding a pair not seen
-    before is ordered by first appearance.
+    many settings the tables hold.  The cells are keyed by `SettingPair` in
+    order of first appearance; only a block holding a pair not seen before is
+    ordered by first appearance.
     """
-    cells: dict[tuple[float, float], np.ndarray] = {}
+    cells: dict[SettingPair, np.ndarray] = {}
     for xs, ys, xi, yi, a, b in blocks:
         ny = len(ys)
         pair = xi * ny + yi
         occurring, index = np.unique(pair, return_inverse=True)
         block = np.bincount(_cell_codes(index, a, b), minlength=len(occurring) * 9).reshape(-1, 9)
-        keys = [(normalize_angle(xs[p // ny]), normalize_angle(ys[p % ny])) for p in occurring.tolist()]
+        keys = [SettingPair(xs[p // ny], ys[p % ny]) for p in occurring.tolist()]
         if any(key not in cells for key in keys):
             first = np.unique(pair, return_index=True)[1]
             for k in np.argsort(first).tolist():
                 cells.setdefault(keys[k], np.zeros(9, np.int64))
         for key, cell in zip(keys, block):
             cells[key] += cell
-    xs, ys = sorted({x for x, _ in cells}), sorted({y for _, y in cells})
-    xi, yi = ({v: i for i, v in enumerate(table)} for table in (xs, ys))
-    counts = np.array([*cells.values()], dtype=np.int64).reshape(-1, 3, 3)
-    pairs = tuple((xi[x], yi[y]) for x, y in cells)
-    return PairCounts(tuple(xs), tuple(ys), counts, pairs)
+    return PairCounts(tuple(cells), np.array([*cells.values()], dtype=np.int64).reshape(-1, 3, 3))
 
 
 def _cell_codes(pair, a, b) -> np.ndarray:

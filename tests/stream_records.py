@@ -1,4 +1,8 @@
-"""The one constructor of in-memory Bell streams that the tests share."""
+"""Helpers that the tests share: the one constructor of in-memory Bell
+streams and the digest of a written file."""
+
+import hashlib
+from pathlib import Path
 
 import numpy as np
 
@@ -16,3 +20,8 @@ def records(x, y, a, b, trial=None) -> np.recarray:
     stream.trial = np.arange(len(x)) if trial is None else trial
     stream.x, stream.y, stream.a, stream.b = x, y, a, b
     return stream
+
+
+def stream_digest(path) -> str:
+    """SHA-256 of a file, for reproducibility assertions."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

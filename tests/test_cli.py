@@ -10,19 +10,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from contextlab.analysis import estimate_correlations
-from contextlab.cli import TABLE, TESTS, emit_plot_data, parse_angle, parse_angle_list, run_command
+from contextlab.analysis import DEFAULT_CHSH_SETTINGS, estimate_correlations
+from contextlab.cli import (
+    TABLE,
+    TESTS,
+    build_parser,
+    emit_plot_data,
+    merge_config,
+    parse_angle,
+    parse_angle_list,
+    run_command,
+)
 from contextlab.models import SettingPair
 from contextlab.simulate import read_stream_csv
+from stream_records import stream_digest
 
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
-
-
-def stream_digest(path) -> str:
-    """SHA-256 of a file, for reproducibility assertions."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run(argv, capsys=None):
@@ -68,6 +73,17 @@ def test_parse_angle_reads_repr_back_bit_for_bit(x):
 @given(st.integers(-(10**12), 10**12), st.integers(1, 10**12))
 def test_parse_angle_pi_fractions_are_exact(k, m):
     assert np.float64(parse_angle(f"{k}pi/{m}")).tobytes() == np.float64(k * math.pi / m).tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv, key", [(["bell-analyze", "--stream", "s.csv"], "chsh-settings"), (["sweep"], "settings")]
+)
+def test_default_chsh_text_parses_to_the_library_settings_bit_for_bit(argv, key):
+    text = "0,pi/4,pi/8,3pi/8"
+    for flags in ([], ["--" + key, text]):  # the field's default, then the same text as a flag
+        config, values = merge_config(argv[0], build_parser().parse_args(argv + flags))
+        assert config[key] == text
+        assert np.array(values[key]).tobytes() == np.array(DEFAULT_CHSH_SETTINGS).tobytes()
 
 
 def test_bad_angle_is_a_usage_error(tmp_path):
@@ -770,6 +786,19 @@ def test_stream_test_skips_and_names_an_outcome_the_wing_never_gives(tmp_path, c
     assert doc["absent_outcomes"] == [0]
     assert len(doc["tests"]) == 2 * len(TESTS)
     assert not any("outcome=+0" in t["name"] for t in doc["tests"])
+
+
+@pytest.mark.parametrize("wing", ["A", "B"])
+def test_stream_test_on_an_empty_bell_stream_is_a_data_error(tmp_path, capsys, wing):
+    # a header-only file has no outcome to test: it must not pass with an empty report
+    stream, report = tmp_path / "s.csv", tmp_path / "t.json"
+    stream.write_bytes(b"trial,x_rad,y_rad,a,b\r\n")
+    argv = ["stream-test", "--stream", str(stream), "--kind", "bell", "--wing", wing]
+    assert run(argv + ["--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert "empty stream" in captured.err
+    assert "not tested" not in captured.out
+    assert not report.exists()
 
 
 def test_outdir_env_var_applies_to_relative_paths(tmp_path, monkeypatch):

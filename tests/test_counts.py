@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from contextlab import simulate
 from contextlab.analysis import estimate_correlations, no_signaling_report
 from contextlab.errors import InsufficientDataError
-from contextlab.models import normalize_angle, random_model
+from contextlab.models import SettingPair, normalize_angle, random_model
 from contextlab.simulate import (
     PairCounts,
     SelectiveModel,
@@ -57,10 +57,7 @@ def as_stream(rows):
 
 def per_pair(counts: PairCounts) -> list:
     """((x, y), 3x3 counts) for every occurring pair, in first-appearance order."""
-    return [
-        ((counts.x_settings[i], counts.y_settings[j]), cell.tolist())
-        for (i, j), cell in zip(counts.pairs, counts.counts)
-    ]
+    return [((pair.x, pair.y), cell.tolist()) for pair, cell in zip(counts.pairs, counts.counts)]
 
 
 def estimate_fields(estimates) -> list:
@@ -98,9 +95,11 @@ def test_fold_equals_per_trial_counting(rows, slice_rows):
         folded = PairCounts.from_stream(as_stream(rows))
     assert per_pair(folded) == [(key, cell.tolist()) for key, cell in brute.items()]
     assert len(folded) == len(rows)
-    assert folded.x_settings == tuple(sorted({x for x, _ in brute}))
-    assert folded.y_settings == tuple(sorted({y for _, y in brute}))
-    assert all(0.0 <= v < TWO_PI for v in folded.x_settings + folded.y_settings)
+    assert all(type(pair) is SettingPair for pair in folded.pairs)
+    assert all(0.0 <= v < TWO_PI for pair in folded.pairs for v in (pair.x, pair.y))
+    assert len(set(folded.pairs)) == len(folded.pairs)
+    assert folded.pairs == tuple(SettingPair(x, y) for x, y in brute)
+    assert list(estimate_correlations(folded)) == list(folded.pairs)
 
 
 def test_fold_memory_stays_at_one_slice_not_the_stream():
@@ -160,7 +159,7 @@ def test_run_counts_equals_folding_run_experiment(case, mode, n_trials, chunk_si
     counts = run_counts(model, schedule, n_trials, seed, chunk_size)
     stream = run_experiment(model, schedule, n_trials, seed, chunk_size)
     folded = PairCounts.from_stream(stream)
-    assert (counts.x_settings, counts.y_settings) == (folded.x_settings, folded.y_settings)
+    assert set(counts.pairs) <= {SettingPair(x, y) for x in xs for y in ys}
     assert counts.pairs == folded.pairs
     assert counts.counts.dtype == folded.counts.dtype
     assert np.array_equal(counts.counts, folded.counts)

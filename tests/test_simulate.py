@@ -1,7 +1,5 @@
-import hashlib
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,14 +33,9 @@ from contextlab.simulate import (
     write_run_csv,
     write_stream_csv,
 )
-from stream_records import records
+from stream_records import records, stream_digest
 
 PI = math.pi
-
-
-def stream_digest(path) -> str:
-    """SHA-256 of a file, for reproducibility assertions."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def constant_finite_model():
