@@ -14,13 +14,17 @@ moments.  The no-signaling tables sum the same blocks over the other wing's
 outcomes.  One helper forms every CHSH combination.  The shared-space bound
 is established constructively: enumerating all deterministic +-1 assignments
 to the four CHSH observables shows every vertex reaches |S| = 2 and none
-exceeds it, and mixtures are convex combinations of vertices.
+exceeds it, and mixtures are convex combinations of vertices.  The
+calibration sweep runs its Monte Carlo pairs, each a `run_counts` job with its
+own master seed, on up to `SWEEP_THREADS` threads, so its output does not
+depend on the thread count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -362,6 +366,34 @@ class SweepResult:
 
 
 DEFAULT_SWEEP_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+SWEEP_THREADS = 2  # at most this many Monte Carlo jobs run at once
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_counts_on_threads(jobs) -> list[PairCounts]:
+    """`run_counts(*job)` for every job, in job order, on a pool of
+    min(`SWEEP_THREADS`, usable CPUs) threads.
+
+    Each job has its own seed, so no result depends on the thread that ran it.
+    Once a job raises, the jobs not yet started are cancelled and the first
+    failed job in job order raises its exception.
+    """
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+    pool = ThreadPoolExecutor(min(SWEEP_THREADS, _usable_cpus()))
+    try:
+        futures = [pool.submit(run_counts, *job) for job in jobs]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
 
 
 def calibration_sweep(
@@ -375,31 +407,32 @@ def calibration_sweep(
 
     For each grid value the CHSH combination is evaluated twice: by the
     midpoint-rule oracle and from Monte Carlo streams of `trials_per_point`
-    trials per setting pair.  The returned best row maximizes the oracle |S|
-    (deterministic in the grid; ties keep the first).
+    trials per setting pair.  The oracle runs first, point by point; then
+    every grid value's and pair's `run_counts` job, seeded
+    (master_seed, grid index, pair index), runs on the thread pool.  The
+    returned best row maximizes the oracle |S| (deterministic in the grid;
+    ties keep the first).
     """
     if not d_grid:
         raise InsufficientDataError("sharpness grid must be nonempty")
     a, ap, b, bp = settings
     pair_list = ((a, b), (a, bp), (ap, b), (ap, bp))
+    models = [SelectiveModel(float(d), asymmetry) for d in d_grid]
+    s_quads = [quadrature_chsh(model, settings, "coincidence") for model in models]
+    jobs = [
+        (model, SettingsSchedule("cycle", (xx,), (yy,)), trials_per_point, (master_seed, di, pi))
+        for di, model in enumerate(models)
+        for pi, (xx, yy) in enumerate(pair_list)
+    ]
+    estimates = [_estimate(c.pairs[0], c.counts[0]) for c in _run_counts_on_threads(jobs)]
     rows = []
-    for di, d in enumerate(d_grid):
-        model = SelectiveModel(float(d), asymmetry)
-        s_quad = quadrature_chsh(model, settings, "coincidence")
-        terms = []
-        min_rate = 1.0
-        for pi, (xx, yy) in enumerate(pair_list):
-            schedule = SettingsSchedule("cycle", (xx,), (yy,))
-            folded = run_counts(
-                model, schedule, trials_per_point, master_seed=(master_seed, di, pi)
-            )
-            est = _estimate(folded.pairs[0], folded.counts[0])
-            terms.append(est.expectation("coincidence")[0])
-            min_rate = min(min_rate, est.n_coincidences / est.n_trials)
-        s_mc = _chsh_combination(*terms)
+    for di, (model, s_quad) in enumerate(zip(models, s_quads)):
+        point = estimates[di * len(pair_list) : (di + 1) * len(pair_list)]
+        s_mc = _chsh_combination(*(est.expectation("coincidence")[0] for est in point))
+        min_rate = min(est.n_coincidences / est.n_trials for est in point)
         rows.append(
             SweepRow(
-                sharpness=float(d),
+                sharpness=model.sharpness,
                 s_quadrature=s_quad,
                 s_monte_carlo=s_mc,
                 discrepancy=abs(s_quad - s_mc),

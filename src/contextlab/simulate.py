@@ -215,9 +215,9 @@ def _fold(blocks) -> PairCounts:
     """Histogram `(xs, ys, xi, yi, a, b)` blocks into `PairCounts`.
 
     `xs` and `ys` are raw setting tables and `xi`, `yi` each trial's index
-    into them.  One bincount per block over the cell code
-    (k*3 + a+1)*3 + b+1, k the index of the trial's pair code xi*ny + yi among
-    the block's occurring codes, so memory stays linear in the stream however
+    into them.  One unique-with-counts per block over the cell code
+    (pair*3 + a+1)*3 + b+1 of each trial, pair = xi*ny + yi, gives the
+    occurring pairs as code // 9, so memory stays linear in the stream however
     many settings the tables hold.  The cells are keyed by `SettingPair` in
     order of first appearance; only a block holding a pair not seen before is
     ordered by first appearance.
@@ -226,8 +226,10 @@ def _fold(blocks) -> PairCounts:
     for xs, ys, xi, yi, a, b in blocks:
         ny = len(ys)
         pair = xi * ny + yi
-        occurring, index = np.unique(pair, return_inverse=True)
-        block = np.bincount(_cell_codes(index, a, b), minlength=len(occurring) * 9).reshape(-1, 9)
+        codes, n = np.unique(_cell_codes(pair, a, b), return_counts=True)
+        occurring, k = np.unique(codes // 9, return_inverse=True)
+        block = np.zeros((len(occurring), 9), np.int64)
+        block[k, codes % 9] = n
         keys = [SettingPair(xs[p // ny], ys[p % ny]) for p in occurring.tolist()]
         if any(key not in cells for key in keys):
             first = np.unique(pair, return_index=True)[1]

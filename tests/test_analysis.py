@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -27,6 +30,7 @@ from contextlab.simulate import (
     MalusModel,
     SelectiveModel,
     SettingsSchedule,
+    run_counts,
     run_experiment,
 )
 from stream_records import records
@@ -357,6 +361,77 @@ def test_sweep_reports_both_routes_and_monotone_optimum():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(InsufficientDataError):
         calibration_sweep(d_grid=())
+
+
+SWEEP_GRIDS = {"d0-asymmetry0": ((0.0, 2.0), 0.0), "asymmetry0.25": ((0.0, 1.5, 3.0), 0.25)}
+
+
+def small_sweep(grid):
+    d_grid, asymmetry = SWEEP_GRIDS[grid]
+    return calibration_sweep(d_grid, trials_per_point=3000, master_seed=7, asymmetry=asymmetry)
+
+
+def recording_threads(monkeypatch) -> list:
+    """Patch the sweep's `run_counts` to note the thread of every job it runs."""
+    idents = []
+
+    def noting(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return run_counts(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_counts", noting)
+    return idents
+
+
+
+@pytest.mark.parametrize("grid", SWEEP_GRIDS)
+def test_sweep_does_not_depend_on_the_thread_count(grid, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    results = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(analysis, "SWEEP_THREADS", threads)
+        before = threading.active_count()
+        idents = recording_threads(monkeypatch)
+        results.append(small_sweep(grid))
+        assert threading.active_count() == before
+        assert len(idents) == 4 * len(SWEEP_GRIDS[grid][0])
+        assert 1 <= len(set(idents)) <= threads and threading.get_ident() not in idents
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count", [({0}, 8), (None, 1), (None, None)], ids=["affinity", "count", "unknown"]
+)
+def test_one_usable_cpu_runs_the_sweep_on_one_thread(affinity, cpu_count, monkeypatch):
+    expected = small_sweep("asymmetry0.25")
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    idents = recording_threads(monkeypatch)
+    assert small_sweep("asymmetry0.25") == expected
+    assert len(idents) == 12 and len(set(idents)) == 1
+
+
+def test_a_failing_sweep_job_raises_its_own_exception_and_cancels_the_rest(monkeypatch):
+    boom = RuntimeError("job (0, 1) failed")
+    started = []
+
+    def failing(model, schedule, n_trials, master_seed):
+        started.append(master_seed)
+        if master_seed[1:] == (0, 1):
+            raise boom
+        time.sleep(0.1)
+        return run_counts(model, schedule, n_trials, master_seed)
+
+    monkeypatch.setattr(analysis, "run_counts", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        small_sweep("asymmetry0.25")
+    assert caught.value is boom
+    assert threading.active_count() == before
+    assert (7, 0, 1) in started and len(started) < 12, started
 
 
 def test_chsh_result_guards_algebraic_maximum():
