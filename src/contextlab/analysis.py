@@ -179,7 +179,6 @@ class LhvBoundResult:
 
     max_abs_s: float
     vertices: tuple  # rows (A(a), A(a'), B(b), B(b'), S)
-    argmax: tuple  # the assignments reaching max |S|
     note: str = (
         "mixtures of deterministic strategies are convex combinations of the "
         "16 vertices, so no shared-space model exceeds the vertex maximum"
@@ -188,18 +187,11 @@ class LhvBoundResult:
 
 def lhv_bound_enumeration() -> LhvBoundResult:
     """Max |S| over all deterministic +-1 assignments to the four observables."""
-    rows = []
-    best: list[tuple] = []
-    max_abs = 0.0
-    for aa, ap, bb, bp in itertools.product((-1, 1), repeat=4):
-        s = _chsh_combination(aa * bb, aa * bp, ap * bb, ap * bp)
-        rows.append((aa, ap, bb, bp, s))
-        if abs(s) > max_abs:
-            max_abs = abs(s)
-            best = [(aa, ap, bb, bp, s)]
-        elif abs(s) == max_abs:
-            best.append((aa, ap, bb, bp, s))
-    return LhvBoundResult(max_abs_s=float(max_abs), vertices=tuple(rows), argmax=tuple(best))
+    vertices = tuple(
+        (aa, ap, bb, bp, _chsh_combination(aa * bb, aa * bp, ap * bb, ap * bp))
+        for aa, ap, bb, bp in itertools.product((-1, 1), repeat=4)
+    )
+    return LhvBoundResult(float(max(abs(row[4]) for row in vertices)), vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +369,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_counts_on_threads(jobs) -> list[PairCounts]:
-    """`run_counts(*job)` for every job, in job order, on a pool of
-    min(`SWEEP_THREADS`, usable CPUs) threads.
-
-    Each job has its own seed, so no result depends on the thread that ran it.
-    Once a job raises, the jobs not yet started are cancelled and the first
-    failed job in job order raises its exception.
-    """
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
-    pool = ThreadPoolExecutor(min(SWEEP_THREADS, _usable_cpus()))
-    try:
-        futures = [pool.submit(run_counts, *job) for job in jobs]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return [future.result() for future in futures]
-
-
 def calibration_sweep(
     d_grid: Sequence[float] = DEFAULT_SWEEP_GRID,
     settings: Sequence[float] = DEFAULT_CHSH_SETTINGS,
@@ -409,10 +382,16 @@ def calibration_sweep(
     midpoint-rule oracle and from Monte Carlo streams of `trials_per_point`
     trials per setting pair.  The oracle runs first, point by point; then
     every grid value's and pair's `run_counts` job, seeded
-    (master_seed, grid index, pair index), runs on the thread pool.  The
+    (master_seed, grid index, pair index), runs on min(`SWEEP_THREADS`,
+    usable CPUs) threads and is read back in job order, so no result depends
+    on the thread that ran it.  The first failed job in job order raises its
+    own exception; the jobs not yet started are cancelled when the read
+    reaches it, not when it fails, and the threads are joined first.  The
     returned best row maximizes the oracle |S| (deterministic in the grid;
     ties keep the first).
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if not d_grid:
         raise InsufficientDataError("sharpness grid must be nonempty")
     a, ap, b, bp = settings
@@ -424,7 +403,9 @@ def calibration_sweep(
         for di, model in enumerate(models)
         for pi, (xx, yy) in enumerate(pair_list)
     ]
-    estimates = [_estimate(c.pairs[0], c.counts[0]) for c in _run_counts_on_threads(jobs)]
+    with ThreadPoolExecutor(min(SWEEP_THREADS, _usable_cpus())) as pool:
+        counts = list(pool.map(run_counts, *zip(*jobs)))
+    estimates = [_estimate(c.pairs[0], c.counts[0]) for c in counts]
     rows = []
     for di, (model, s_quad) in enumerate(zip(models, s_quads)):
         point = estimates[di * len(pair_list) : (di + 1) * len(pair_list)]

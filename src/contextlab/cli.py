@@ -81,7 +81,7 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # Field parsers: a flag string or a config-file value -> the value a command
-# uses.  A TypeError or ValueError becomes a usage error naming the field.
+# uses.  A TypeError, ValueError or ArithmeticError ('pi/0') is a usage error.
 # ---------------------------------------------------------------------------
 
 _ANGLE_RE = re.compile(r"^(?P<sign>-?)(?P<coef>\d+(?:\.\d+)?)?\s*pi(?:/(?P<div>\d+(?:\.\d+)?))?$")
@@ -225,7 +225,7 @@ def merge_config(name: str, args: argparse.Namespace) -> tuple[dict, dict]:
     for key, field in fields.items():
         try:
             values[key] = field.parse(config[key])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             if config[key] is None:
                 raise UsageError(f"{name} requires --{key}") from None
             raise UsageError(f"{key}: cannot use {config[key]!r} ({exc})") from None
@@ -350,7 +350,6 @@ def cmd_lhv_bound(v: dict, config: dict) -> int:
     print(result.note)
     if v["report"]:
         doc = asdict(result)
-        del doc["argmax"]
         # the keys stay in field order, as this report has always been written
         print(f"report: {write_report(doc, out_path(v['report']), config, sort_keys=False)}")
     return 0

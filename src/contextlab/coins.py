@@ -163,14 +163,11 @@ def box_run(box: BoxEnsemble, n: int, rng: np.random.Generator) -> np.ndarray:
 class HoleProtocolResult:
     """Before/after comparison around an unobserved removal of coins."""
 
-    box_before: BoxEnsemble
     box_after: BoxEnsemble
     removed_blue: int | None
     removed_red: int | None
-    n_removed: int
     before_frequency: float
     after_frequency: float
-    trials_per_phase: int
     report: TestReport
 
 
@@ -180,6 +177,8 @@ def remove_coins(box: BoxEnsemble, n_removed: int, rng: np.random.Generator):
         raise ConfigError(
             f"n_removed must be in [0, {box.size - 1}], got {n_removed}"
         )
+    if box.kind == "mixed" and n_removed and max(box.n_blue, box.n_red) >= 10**9:
+        raise ConfigError(f"the removal draw takes under 10**9 coins of each color, got {box}")
     if box.kind == "mixed":
         removed_blue = int(rng.hypergeometric(box.n_blue, box.n_red, n_removed)) if n_removed else 0
         removed_red = n_removed - removed_blue
@@ -211,14 +210,11 @@ def hole_protocol(
         k_before, trials_after, k_after, trials_after, alpha=alpha, name="hole-protocol"
     )
     return HoleProtocolResult(
-        box_before=box,
         box_after=after_box,
         removed_blue=removed_blue,
         removed_red=removed_red,
-        n_removed=n_removed,
         before_frequency=k_before / trials_after,
         after_frequency=k_after / trials_after,
-        trials_per_phase=trials_after,
         report=report,
     )
 

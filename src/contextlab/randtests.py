@@ -470,14 +470,11 @@ class BreakdownReport:
     test flags the stream.
     """
 
-    regimes: tuple[float, ...]
     n: int
-    replications: int
     nominal_coverage: float
     coverage: tuple[float, ...]
     mean_pooled_estimate: float
     homogeneity_rejection_rate: float
-    homogeneity_alpha: float
 
 
 BREAKDOWN_CI_LEVEL = 0.95
@@ -519,12 +516,9 @@ def inhomogeneity_breakdown_demo(
         if homogeneity_test(stream, BREAKDOWN_SUBSAMPLES, BREAKDOWN_ALPHA).reject:
             rejected += 1
     return BreakdownReport(
-        regimes=regimes,
         n=total,
-        replications=replications,
         nominal_coverage=BREAKDOWN_CI_LEVEL,
         coverage=tuple(covered / replications),
         mean_pooled_estimate=pooled_sum / replications,
         homogeneity_rejection_rate=rejected / replications,
-        homogeneity_alpha=BREAKDOWN_ALPHA,
     )

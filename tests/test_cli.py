@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,10 @@ def streams(tmp_path_factory):
         ["sweep", "--settings", "0,1", "--trials-per-point", "1000"],
         # this one ran no test, never checked alpha and exited 0
         ["stream-test", "--stream", "COINS", "--tests", ",", "--alpha", "5"],
+        # a zero divisor died with a ZeroDivisionError traceback
+        ["bell-run", "--x-settings", "pi/0"],
+        ["sweep", "--settings", "0,pi/0,pi/8,3pi/8"],
+        ["bell-analyze", "--stream", "BELL", "--chsh-settings", "0,pi/0,pi/8,3pi/8"],
     ],
 )
 def test_unparsable_numbers_are_usage_errors(capsys, streams, argv):
@@ -617,6 +622,16 @@ def test_sweep_writes_report_and_plot_data(tmp_path, capsys):
     assert len(plot.read_text().splitlines()) == 3
 
 
+def test_a_sweep_whose_every_job_fails_is_a_data_error(tmp_path, capsys):
+    report = tmp_path / "sweep.json"
+    before = threading.active_count()
+    assert run(["sweep", "--trials-per-point", "0", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "n_trials must be >= 1" in err and "Traceback" not in err
+    assert not report.exists()
+    assert threading.active_count() == before
+
+
 def test_sweep_report_bytes_are_pinned(tmp_path):
     # recorded when each sweep point still built a full stream, so it checks
     # that folding counts chunk by chunk changes no byte of the report
@@ -698,6 +713,18 @@ def test_a_file_cut_short_of_its_sidecar_is_a_data_error(tmp_path, capsys, kind,
     capsys.readouterr()
     assert run(["stream-test", "--stream", str(path), "--kind", kind]) == 2
     assert "sidecar has" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_blue", ["2000000000", "99999999999999999999"])
+def test_a_hole_box_too_large_to_draw_from_is_a_data_error(tmp_path, capsys, n_blue):
+    # numpy's hypergeometric draw raised a ValueError or OverflowError traceback
+    out = tmp_path / "hole.json"
+    argv = ["coins-run", "--experiment", "hole", "--n-blue", n_blue, "--n-red", "10",
+            "--n-removed", "5", "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "10**9" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -372,6 +372,20 @@ def test_remove_coins_bounds():
         remove_coins(box, 4, substream(0, 0, 0))
 
 
+@pytest.mark.parametrize("n_blue, n_red", [(10**9, 10), (10, 10**9), (10**20, 10)])
+def test_remove_coins_refuses_a_color_beyond_the_draw_limit(n_blue, n_red):
+    with pytest.raises(ConfigError, match=r"10\*\*9"):
+        remove_coins(BoxEnsemble("mixed", n_blue=n_blue, n_red=n_red), 5, substream(0, 0, 0))
+
+
+def test_remove_coins_draws_up_to_the_limit_and_skips_it_when_nothing_is_removed():
+    big = BoxEnsemble("mixed", n_blue=10**9 - 1, n_red=10**9 - 1)
+    after, blue, red = remove_coins(big, 5, substream(0, 0, 0))
+    assert blue + red == 5 and after.size == big.size - 5
+    huge = BoxEnsemble("mixed", n_blue=10**20, n_red=10)
+    assert remove_coins(huge, 0, substream(0, 0, 0)) == (huge, 0, 0)
+
+
 # --- persistence -------------------------------------------------------------------------
 
 
