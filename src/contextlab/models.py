@@ -12,9 +12,12 @@ single-wing marginals sum the same factors with the other wing removed.
 Because A never references lambda_y and B never references lambda_x, the sums
 are evaluated as a factored contraction: per-source-value instrument
 reductions first (computed once per setting, at construction), then the
-source contraction.  All reductions use math.fsum, which rounds the exact sum
-of its terms once, so results are deterministic bit-for-bit whatever the order
-of the terms.
+source contraction over the source support: the cells of positive
+probability, plus the last cell.  All reductions use math.fsum, which rounds
+the exact sum of its terms once, so results are deterministic bit-for-bit
+whatever the order of the terms.  The same rounding lets every sum skip its
+zero terms: a dropped term is 0.0 times finite factors, +-0.0, which adds
+nothing to the exact sum, and fsum of zeros alone (or of no terms) is +0.0.
 
 Probability tables are validated against a 1e-12 normalization tolerance and
 then renormalized so that their compensated float sum is exactly 1.0; this
@@ -94,7 +97,7 @@ def _exact_probabilities(table, name: str) -> np.ndarray:
         raise ModelValidationError(f"{name}: non-finite probability entries")
     if np.any(arr < 0.0):
         raise ModelValidationError(f"{name}: negative probability entries")
-    total = math.fsum(arr.flat)
+    total = math.fsum(arr.ravel().tolist())
     if abs(total - 1.0) > PROB_TOLERANCE:
         raise ModelValidationError(
             f"{name}: probabilities sum to {total!r}, outside tolerance "
@@ -102,7 +105,7 @@ def _exact_probabilities(table, name: str) -> np.ndarray:
         )
     out = arr / total
     for _ in range(32):
-        residual = 1.0 - math.fsum(out.flat)
+        residual = 1.0 - math.fsum(out.ravel().tolist())
         if residual == 0.0:
             break
         idx = np.unravel_index(int(np.argmax(out)), out.shape)
@@ -127,8 +130,10 @@ def _validated_outcomes(table, n_source: int, n_inst: int, name: str) -> np.ndar
 
 
 def _fsum_rows(terms: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a 2-D array."""
-    return np.array([math.fsum(row) for row in terms.tolist()])
+    """math.fsum of each row of a 2-D array, over the row's nonzero terms."""
+    nonzero = terms != 0.0
+    values, ends = terms[nonzero].tolist(), np.cumsum(nonzero.sum(axis=1)).tolist()
+    return np.array([math.fsum(values[a:b]) for a, b in zip([0, *ends], ends)])
 
 
 class WingTables(NamedTuple):
@@ -183,11 +188,12 @@ class FiniteContextualModel:
                 f"source_dist shape {self.source_dist.shape} != ({n1}, {n2})"
             )
         self._wings = tuple(map(self._build_wing, (alice, bob), (n1, n2), WINGS))
-        # the source CDF over the positive cells and the last: the first dense entry
-        # above a uniform adds a positive probability, or is the last, pinned to 1.0
+        # the source support (i1, i2, p): the positive cells and the last.  The first dense
+        # CDF entry above a uniform adds a positive probability, or is the last, pinned to 1.0
         flat = self.source_dist.ravel()
-        self._source_cells = np.union1d(np.flatnonzero(flat), [flat.size - 1])
-        self._source_cum = np.cumsum(flat[self._source_cells])
+        cells = np.union1d(np.flatnonzero(flat), [flat.size - 1])
+        self._support = (*np.divmod(cells, n2), flat[cells])
+        self._source_cum = np.cumsum(self._support[2])
         self._source_cum[-1] = 1.0
 
     @staticmethod
@@ -232,8 +238,8 @@ class FiniteContextualModel:
 
     def source(self, u_src):
         """Source value indices (i1, i2) per trial, by inverse CDF of one uniform."""
-        flat = self._source_cells[np.searchsorted(self._source_cum, u_src, side="right")]
-        return np.divmod(flat, len(self.lambda2_space))
+        k = np.searchsorted(self._source_cum, u_src, side="right")
+        return self._support[0][k], self._support[1][k]
 
     def sampling_tables(self, wing: int, setting: float):
         """Instrument CDF and outcome table of wing 0 (Alice) or 1 (Bob) at one setting.
@@ -269,12 +275,14 @@ class FiniteContextualModel:
 # ---------------------------------------------------------------------------
 
 
-def _source_contract(source: np.ndarray, a_factor: np.ndarray, b_factor: np.ndarray) -> float:
-    """fsum of source[i, j] * a_factor[i] * b_factor[j] over terms formed by numpy.
+def _source_contract(model: FiniteContextualModel, a_factor, b_factor) -> float:
+    """fsum of source_dist[i, j] * a_factor[i] * b_factor[j] over the source support.
 
-    Each term is the same two left-to-right IEEE products as the scalar form."""
-    terms = source * a_factor[:, None] * b_factor[None, :]
-    return math.fsum(terms.ravel().tolist())
+    Each term is the same two left-to-right IEEE products as the scalar form.  A
+    cell off the support would add 0.0 * a * b = +-0.0: fsum's exact sum, and so
+    its one rounding, is the same with or without it."""
+    i1, i2, p = model._support
+    return math.fsum((p * a_factor[i1] * b_factor[i2]).tolist())
 
 
 def pair_expectation(model: FiniteContextualModel, x: float, y: float) -> float:
@@ -283,7 +291,7 @@ def pair_expectation(model: FiniteContextualModel, x: float, y: float) -> float:
     Non-detections enter as 0, so this is the raw (unconditioned) value.
     """
     at, bt = model.tables(0, x), model.tables(1, y)
-    return _source_contract(model.source_dist, at.response, bt.response)
+    return _source_contract(model, at.response, bt.response)
 
 
 def marginal(model: FiniteContextualModel, wing: int, setting: float) -> float:
@@ -293,13 +301,13 @@ def marginal(model: FiniteContextualModel, wing: int, setting: float) -> float:
     """
     factors = [np.ones(n) for n in model.source_dist.shape]
     factors[wing] = model.tables(wing, setting).response
-    return _source_contract(model.source_dist, *factors)
+    return _source_contract(model, *factors)
 
 
 def joint_detection_probability(model: FiniteContextualModel, x: float, y: float) -> float:
     """Probability that both wings register a nonzero outcome at (x, y)."""
     at, bt = model.tables(0, x), model.tables(1, y)
-    return _source_contract(model.source_dist, at.detection, bt.detection)
+    return _source_contract(model, at.detection, bt.detection)
 
 
 def _conditioning_probability(model: FiniteContextualModel, x: float, y: float) -> float:
@@ -333,7 +341,7 @@ def postselected_marginal(model: FiniteContextualModel, x: float, y: float, wing
     denom = _conditioning_probability(model, x, y)
     factors = [model.tables(0, x).detection, model.tables(1, y).detection]
     factors[wing] = model.tables(wing, (x, y)[wing]).response
-    return _source_contract(model.source_dist, *factors) / denom
+    return _source_contract(model, *factors) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from contextlab import simulate
 from contextlab.analysis import DEFAULT_CHSH_SETTINGS, estimate_correlations
 from contextlab.cli import (
     TABLE,
@@ -813,6 +815,35 @@ def test_stream_test_skips_and_names_an_outcome_the_wing_never_gives(tmp_path, c
     assert doc["absent_outcomes"] == [0]
     assert len(doc["tests"]) == 2 * len(TESTS)
     assert not any("outcome=+0" in t["name"] for t in doc["tests"])
+
+
+def test_stream_test_bell_holds_one_byte_per_row_not_the_parsed_stream(tmp_path, capsys, monkeypatch):
+    """tracemalloc peak of `stream-test --kind bell` on a 50,000-row stream.
+
+    The command keeps one int8 outcome per row.  At most eight one-byte arrays
+    of the stream's length are alive at once: the per-block copies and their
+    concatenation, the three indicator streams, and up to three temporaries
+    of the step that runs (a comparison mask and its uint8 cast, `np.unique`'s
+    sorted copy and mask, `np.diff`).  Reading adds one block: its text, its
+    26 B records (fewer bytes than their rows' text, about 42 B here) and
+    `loadtxt`'s working copies, bounded together by 16 blocks of text.
+    Holding every block's records instead, through views of their columns,
+    adds 26 B per row: 1.3 MB here.
+    """
+    monkeypatch.setattr(simulate, "READ_BLOCK_BYTES", 1 << 15)
+    rows, stream = 50_000, tmp_path / "s.csv"
+    argv = ["bell-run", "--model", "selective", "--sharpness", "2.0", "--n-trials", str(rows)]
+    assert run(argv + ["--out", str(stream)]) == 0
+    argv = ["stream-test", "--stream", str(stream), "--kind", "bell", "--tests", "runs,frequency"]
+    assert run(argv) == 0  # first-call allocations are not the command's
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 8 * rows + 16 * simulate.READ_BLOCK_BYTES, peak
 
 
 @pytest.mark.parametrize("wing", ["A", "B"])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -637,3 +638,110 @@ def test_exact_function_values_are_pinned():
     assert hashlib.sha256(blob).hexdigest() == (
         "4a574de913eedc0558b48e9e730a0425283af57ba2be2278adb01417bd521464"
     )
+
+
+# --- the support contraction against the dense whole-grid form -------------------
+
+
+def dense_rows(terms):
+    """fsum of each whole row, zero terms included."""
+    return np.array([math.fsum(row) for row in terms.tolist()])
+
+
+def dense_contract(source, a_factor, b_factor):
+    """fsum over every source cell, zero-probability cells included."""
+    return math.fsum((source * a_factor[:, None] * b_factor[None, :]).ravel().tolist())
+
+
+def dense_exact_values(model, x, y) -> dict:
+    """Every exact function at (x, y), each contraction over the whole source grid."""
+    at, bt = model.tables(0, x), model.tables(1, y)
+    source = model.source_dist
+    ones1, ones2 = (np.ones(n) for n in source.shape)
+    pair = dense_contract(source, at.response, bt.response)
+    denom = dense_contract(source, at.detection, bt.detection)
+    conditional = denom > 0.0
+    return {
+        "pair": pair,
+        "alice": dense_contract(source, at.response, ones2),
+        "bob": dense_contract(source, ones1, bt.response),
+        "joint": denom,
+        "coincidence": pair / denom if conditional else None,
+        "post_A": dense_contract(source, at.response, bt.detection) / denom if conditional else None,
+        "post_B": dense_contract(source, at.detection, bt.response) / denom if conditional else None,
+    }
+
+
+def with_source(model, source):
+    """`model` with its source distribution replaced."""
+    wings = (wing_tables(model, 0), wing_tables(model, 1))
+    return FiniteContextualModel(model.lambda1_space, model.lambda2_space, source, *wings)
+
+
+@st.composite
+def sparse_source_models(draw):
+    """random_model and shared_space_model with source cells zeroed, and small discretizations."""
+    kind = draw(st.sampled_from(("random", "shared", "discretized")))
+    if kind == "discretized":  # a diagonal source: every off-diagonal cell is zero
+        bases = (MalusModel(), SelectiveModel(2.0, 0.25), SelectiveModel(0.5, 0.0))
+        base, n = draw(st.sampled_from(bases)), st.integers(2, 12)
+        return discretize(base, (X0, X1), (Y0, Y1), n_source=draw(n), n_alice=draw(n), n_bob=draw(n))
+    factory = random_model if kind == "random" else shared_space_model
+    n1, n2, n_inst = (draw(st.integers(1, n)) for n in (6, 6, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = factory(rng, n1=n1, n2=n2, n_inst=n_inst)
+    keep = draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2).filter(any))
+    source = np.where(np.reshape(keep, (n1, n2)), model.source_dist, 0.0)
+    return with_source(model, source / math.fsum(source.flat))
+
+
+@settings(
+    max_examples=200, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(sparse_source_models())
+def test_support_contraction_equals_the_dense_form_bit_for_bit(model):
+    for x in model.alice_settings:
+        for y in model.bob_settings:
+            got, want = exact_values(model, x, y), dense_exact_values(model, x, y)
+            assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+    for wing in (0, 1):
+        for t in (model.tables(wing, s) for s in wing_settings(model, wing)):
+            assert t.response.tobytes() == dense_rows(t.outcome * t.dist).tobytes()
+            assert t.detection.tobytes() == dense_rows((t.outcome != 0) * t.dist).tobytes()
+
+
+def test_an_all_zero_factor_sums_to_positive_zero():
+    # the one support cell's term is 1.0 * -1.0 * 0.0 = -0.0, while the dense grid
+    # also holds +0.0 terms: the two agree only because fsum([-0.0]) is +0.0
+    source = [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+    alice = {X0: ((0,), [1.0], [[1], [1], [-1]])}
+    bob = {Y0: ((0,), [1.0], [[0], [0]])}
+    m = FiniteContextualModel(range(3), range(2), source, alice, bob)
+    assert m.tables(1, Y0).response.tolist() == [0.0, 0.0]
+    got = pair_expectation(m, X0, Y0)
+    assert repr(got) == repr(dense_exact_values(m, X0, Y0)["pair"]) == "0.0"
+
+
+def test_a_contraction_allocates_in_the_support_not_the_source_grid():
+    """tracemalloc peak of `pair_expectation` on a 180 x 200 discretization.
+
+    The source is diagonal, so the support holds m = 180 of its 32,400 cells.
+    Per support cell the contraction holds at most two gathered factor arrays
+    and their product in float64 (3 x 8 B), then the product's `tolist`: one
+    24 B float object and an 8 B list slot, 56 B in all.  The bound is 64 B per
+    cell plus 4 KiB for the fixed objects (array headers, the tables lookup).
+    Forming every cell's term instead takes about n1 * n2 * 40 B, 1.3 MB here.
+    """
+    xs = tuple(k * math.pi / 8 for k in range(4))
+    ys = tuple((2 * k + 1) * math.pi / 16 for k in range(4))
+    model = discretize(SelectiveModel(3.0, 0.25), xs, ys, n_source=180, n_alice=200, n_bob=200)
+    support = np.count_nonzero(model.source_dist)
+    assert support == 180 and model.source_dist[-1, -1] > 0.0
+    pair_expectation(model, xs[0], ys[0])
+    tracemalloc.start()
+    try:
+        pair_expectation(model, xs[1], ys[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * support + 4096, peak
