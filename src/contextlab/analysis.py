@@ -11,13 +11,14 @@ contributes a zero product), which puts the estimator on the same footing as
 the exact finite-model contraction; the coincidence expectation conditions on
 both wings having clicked.  Both come with standard errors from exact integer
 moments.  The no-signaling tables sum the same blocks over the other wing's
-outcomes.  One helper forms every CHSH combination.  The shared-space bound
-is established constructively: enumerating all deterministic +-1 assignments
-to the four CHSH observables shows every vertex reaches |S| = 2 and none
-exceeds it, and mixtures are convex combinations of vertices.  The
-calibration sweep runs its Monte Carlo pairs, each a `run_counts` job with its
-own master seed, on up to `SWEEP_THREADS` threads, so its output does not
-depend on the thread count.
+outcomes.  One helper, `_chsh_pairs`, orders the four CHSH setting pairs, and
+one, `_chsh_combination`, forms every CHSH combination from their terms.  The
+shared-space bound is established constructively: enumerating all
+deterministic +-1 assignments to the four CHSH observables shows every vertex
+reaches |S| = 2 and none exceeds it, and mixtures are convex combinations of
+vertices.  The calibration sweep runs its Monte Carlo pairs, each a
+`run_counts` job with its own master seed, on up to `SWEEP_THREADS` threads,
+so its output does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -118,6 +119,11 @@ def estimate_correlations(
 # ---------------------------------------------------------------------------
 
 
+def _chsh_pairs(a, a_prime, b, b_prime):
+    """The four CHSH setting pairs in the order `_chsh_combination` takes their terms."""
+    return (a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)
+
+
 def _chsh_combination(e_ab, e_abp, e_apb, e_apbp):
     """E(a,b) - E(a,b') + E(a',b) + E(a',b'), summed left to right."""
     return e_ab - e_abp + e_apb + e_apbp
@@ -146,14 +152,8 @@ def chsh(
     b_prime: float,
     mode: str = "raw",
 ) -> ChshResult:
-    pairs = (
-        SettingPair(a, b),
-        SettingPair(a, b_prime),
-        SettingPair(a_prime, b),
-        SettingPair(a_prime, b_prime),
-    )
     values, variances = [], []
-    for pair in pairs:
+    for pair in (SettingPair(x, y) for x, y in _chsh_pairs(a, a_prime, b, b_prime)):
         if pair not in estimates:
             raise IncompleteDesignError(f"setting pair {pair} missing from the stream")
         e, se = estimates[pair].expectation(mode)
@@ -188,8 +188,8 @@ class LhvBoundResult:
 def lhv_bound_enumeration() -> LhvBoundResult:
     """Max |S| over all deterministic +-1 assignments to the four observables."""
     vertices = tuple(
-        (aa, ap, bb, bp, _chsh_combination(aa * bb, aa * bp, ap * bb, ap * bp))
-        for aa, ap, bb, bp in itertools.product((-1, 1), repeat=4)
+        (*signs, _chsh_combination(*(x * y for x, y in _chsh_pairs(*signs))))
+        for signs in itertools.product((-1, 1), repeat=4)
     )
     return LhvBoundResult(float(max(abs(row[4]) for row in vertices)), vertices)
 
@@ -319,10 +319,10 @@ def quadrature_chsh(
     settings: Sequence[float] = DEFAULT_CHSH_SETTINGS,
     mode: str = "coincidence",
 ) -> float:
-    a, ap, b, bp = settings
-    key = "coincidence_expectation" if mode == "coincidence" else "raw_expectation"
-    pairs = ((a, b), (a, bp), (ap, b), (ap, bp))
-    return _chsh_combination(*(model_curves(model, xx, yy)[key] for xx, yy in pairs))
+    if mode not in ("raw", "coincidence"):
+        raise ValueError(f"mode must be 'raw' or 'coincidence', got {mode!r}")
+    pairs = _chsh_pairs(*settings)
+    return _chsh_combination(*(model_curves(model, x, y)[f"{mode}_expectation"] for x, y in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +394,7 @@ def calibration_sweep(
 
     if not d_grid:
         raise InsufficientDataError("sharpness grid must be nonempty")
-    a, ap, b, bp = settings
-    pair_list = ((a, b), (a, bp), (ap, b), (ap, bp))
+    pair_list = _chsh_pairs(*settings)
     models = [SelectiveModel(float(d), asymmetry) for d in d_grid]
     s_quads = [quadrature_chsh(model, settings, "coincidence") for model in models]
     jobs = [

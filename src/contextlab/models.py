@@ -191,7 +191,9 @@ class FiniteContextualModel:
         # the source support (i1, i2, p): the positive cells and the last.  The first dense
         # CDF entry above a uniform adds a positive probability, or is the last, pinned to 1.0
         flat = self.source_dist.ravel()
-        cells = np.union1d(np.flatnonzero(flat), [flat.size - 1])
+        kept = flat > 0.0
+        kept[-1] = True
+        cells = np.flatnonzero(kept)
         self._support = (*np.divmod(cells, n2), flat[cells])
         self._source_cum = np.cumsum(self._support[2])
         self._source_cum[-1] = 1.0

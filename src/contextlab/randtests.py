@@ -79,15 +79,15 @@ def encode_binary(stream) -> np.ndarray:
         raise InsufficientDataError("empty stream")
     if arr.dtype == bool:
         return arr.astype(np.uint8)
+    success, failures = (1, (0, -1)) if arr.dtype.kind in "iuf" else ("B", ("R",))
+    hit = arr == success
+    if any(np.all(hit | (arr == failure)) for failure in failures):
+        return hit.astype(np.uint8)
     try:
-        values = set(np.unique(arr).tolist())
+        symbols = np.unique(arr).tolist()
     except TypeError:  # an object array whose symbols do not compare
-        raise InsufficientDataError("not a two-symbol stream: mixed symbol types") from None
-    if arr.dtype.kind in "iuf" and (values <= {0, 1} or values <= {-1, 1}):
-        return (arr == 1).astype(np.uint8)
-    if arr.dtype.kind not in "iuf" and values <= {"B", "R"}:
-        return (arr == "B").astype(np.uint8)
-    raise InsufficientDataError(f"not a two-symbol stream: symbols {sorted(values)}")
+        symbols = "of mixed types"
+    raise InsufficientDataError(f"not a two-symbol stream: symbols {symbols}")
 
 
 def ternary_to_indicators(values) -> dict[int, np.ndarray]:

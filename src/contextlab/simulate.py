@@ -181,46 +181,39 @@ class PairCounts:
 
     @classmethod
     def from_stream(cls, stream: np.ndarray) -> "PairCounts":
-        """The counts of checked `STREAM_ROW` records, folded by `DEFAULT_CHUNK_SIZE` rows."""
+        """The counts of checked `STREAM_ROW` records, folded `TILE` rows at a time."""
         _check_rows(stream)
-        size = DEFAULT_CHUNK_SIZE
-        return cls.from_blocks(stream[k : k + size] for k in range(0, len(stream), size))
+        return cls.from_blocks(stream[k : k + TILE] for k in range(0, len(stream), TILE))
 
     @classmethod
     def from_blocks(cls, blocks) -> "PairCounts":
         """`from_stream` of the concatenated `STREAM_ROW` blocks, folded one block at a time."""
-        return _fold(_indexed(blocks))
+        return _fold(map(_index, blocks))
 
 
-def _indexed(blocks):
-    """Yield `(xs, ys, xi, yi, a, b)` per `STREAM_ROW` block, indexing the
-    settings into sorted tables of the raw values seen so far."""
-    xs = ys = np.empty(0)
-    for rows in blocks:
-        (xs, xi), (ys, yi) = _lookup(xs, rows["x"]), _lookup(ys, rows["y"])
-        yield xs, ys, xi, yi, rows["a"], rows["b"]
+def _index(rows):
+    """The `_fold` block `(xs, ys, xi, yi, a, b)` of one `STREAM_ROW` block: per
+    setting column, the table of its distinct values and each row's index into it.
 
-
-def _lookup(table, column):
-    """The sorted `table` and each value's index into it: a `searchsorted` and an
-    equality check, with `np.union1d` only when the column holds a new value."""
-    i = np.searchsorted(table, column)
-    if not (i.max(initial=0) < len(table) and np.array_equal(table[i], column)):
-        table = np.union1d(table, column)
-        i = np.searchsorted(table, column)
-    return table, i
+    Settings are keyed on their bits and the tables viewed back as floats, so
+    -0.0 keeps its own entry (and its repr, when the tables name a file's
+    rows); a table may then hold two values that name one setting."""
+    (xs, xi), (ys, yi) = (np.unique(rows[c].view(np.int64), return_inverse=True) for c in "xy")
+    return xs.view(float), ys.view(float), xi, yi, rows["a"], rows["b"]
 
 
 def _fold(blocks) -> PairCounts:
     """Histogram `(xs, ys, xi, yi, a, b)` blocks into `PairCounts`.
 
-    `xs` and `ys` are raw setting tables and `xi`, `yi` each trial's index
-    into them.  One unique-with-counts per block over the cell code
-    (pair*3 + a+1)*3 + b+1 of each trial, pair = xi*ny + yi, gives the
+    `xs` and `ys` are one block's raw setting tables and `xi`, `yi` each
+    trial's index into them.  One unique-with-counts per block over the cell
+    code (pair*3 + a+1)*3 + b+1 of each trial, pair = xi*ny + yi, gives the
     occurring pairs as code // 9, so memory stays linear in the stream however
     many settings the tables hold.  The cells are keyed by `SettingPair` in
     order of first appearance; only a block holding a pair not seen before is
-    ordered by first appearance.
+    ordered by first appearance.  Two pair codes whose raw values name one
+    setting pair (-0.0 and 0.0, or 0 and 2*pi) share one key, and their
+    counts are summed into it.
     """
     cells: dict[SettingPair, np.ndarray] = {}
     for xs, ys, xi, yi, a, b in blocks:
@@ -547,13 +540,13 @@ def write_stream_csv(stream: np.ndarray, path, metadata: dict | None = None) -> 
     """Write checked `STREAM_ROW` records as `trial,x_rad,y_rad,a,b` rows and a sidecar.
 
     Floats are written with repr (shortest round-trip form), so rewriting the
-    same stream is byte-identical and reading back is lossless.  Settings are
-    keyed on their bits, so -0.0 keeps its own repr.
+    same stream is byte-identical and reading back is lossless.  The settings
+    tables are `_index`'s.
     """
     _check_rows(stream)
-    (xs, xi), (ys, yi) = (np.unique(stream[c].view(np.int64), return_inverse=True) for c in "xy")
-    codes = _cell_codes(xi * len(ys) + yi, stream["a"], stream["b"])
-    tail = _cell_tail(xs.view(float).tolist(), ys.view(float).tolist())
+    xs, ys, xi, yi, a, b = _index(stream)
+    codes = _cell_codes(xi * len(ys) + yi, a, b)
+    tail = _cell_tail(xs.tolist(), ys.tolist())
     write_rows(path, CSV_HEADER, [(stream["trial"], codes)], tail, metadata)
 
 

@@ -265,6 +265,12 @@ def test_malus_raw_chsh_is_sqrt_two():
     assert abs(s) == pytest.approx(math.sqrt(2), abs=1e-9)
 
 
+def test_quadrature_chsh_refuses_an_unknown_mode():
+    # any mode but "coincidence" was read as "raw"
+    with pytest.raises(ValueError, match="mode must be 'raw' or 'coincidence'"):
+        quadrature_chsh(MalusModel(), mode="postselected")
+
+
 def untiled_curves(model, x, y, n_points):
     """`model_curves` as one whole-length pass, the reference its tiles must equal."""
     phi = (np.arange(n_points) + 0.5) * (math.pi / n_points)

@@ -24,7 +24,8 @@ from contextlab.cli import (
     parse_angle_list,
     run_command,
 )
-from contextlab.models import SettingPair
+from contextlab.errors import ModelValidationError
+from contextlab.models import SettingPair, load_model
 from contextlab.simulate import read_stream_csv
 from stream_records import stream_digest
 
@@ -218,7 +219,8 @@ def test_a_refused_run_keeps_the_stream_already_at_its_out_path(tmp_path, flag):
 
 
 def test_importing_the_cli_and_generating_load_no_scipy(tmp_path):
-    # every p-value comes from the standard library, so no command loads scipy
+    # every p-value comes from the standard library, so no command loads scipy; and
+    # no command calls the np.unique forms that import numpy.ma (about 13 ms)
     s, u, short = (str(tmp_path / name) for name in ("s.csv", "u.csv", "short.csv"))
     tests = ("runs", "frequency", "block-variance", "homogeneity", "autocorrelation")
     commands = [
@@ -240,11 +242,12 @@ def test_importing_the_cli_and_generating_load_no_scipy(tmp_path):
     script = (
         "import json, sys\n"
         "from contextlab.cli import run_command\n"
-        "def scipy(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-        "loaded = [scipy()]\n"
+        "def heavy(): return any(m.split('.')[0] == 'scipy' or m == 'numpy.ma'\n"
+        "                        for m in sys.modules)\n"
+        "loaded = [heavy()]\n"
         f"for argv in json.loads({json.dumps(commands)!r}):\n"
         "    assert run_command(argv) == 0, argv\n"
-        "    loaded.append(scipy())\n"
+        "    loaded.append(heavy())\n"
         "print(loaded)\n"
     )
     assert run_python(script, tmp_path) == str([False] * (len(commands) + 1))
@@ -258,7 +261,7 @@ def test_the_finite_oracle_driver_loads_no_scipy(tmp_path):
         "import runpy, sys\n"
         f"oracle = runpy.run_path({str(ROOT / 'bench' / 'finite_oracle.py')!r})\n"
         "assert oracle['main'](['m.json', 'o.json', '--trials', '4000', '--seed', '1']) == 0\n"
-        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        "print(any(m.split('.')[0] == 'scipy' or m == 'numpy.ma' for m in sys.modules))\n"
     )
     assert run_python(script, tmp_path) == "False"
     assert json.loads((tmp_path / "o.json").read_text())["no_signaling"]
@@ -598,6 +601,31 @@ def test_malformed_model_file_is_a_data_error(tmp_path, capsys, content):
     out = tmp_path / "stream.csv"
     assert run(["bell-run", "--model", str(model_path), "--n-trials", "10", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "edit, guard",
+    [
+        (lambda d: d.update(lambda1_space=[]), "source spaces must be nonempty"),
+        (lambda d: d.update(source_dist=[]), "source_dist: empty probability table"),
+        (lambda d: d["source_dist"][0].__setitem__(0, math.nan), "non-finite probability"),
+        (lambda d: d.update(source_dist=sum(d["source_dist"], [])), "source_dist shape (9,)"),
+        (lambda d: d["alice"]["0.0"]["dist"].append(0.0), "dist length != space size"),
+        (lambda d: d["alice"]["0.0"]["outcome"].__delitem__(-1), "outcome table shape (2, 2)"),
+    ],
+    ids=["empty-space", "empty-source", "nan-entry", "flat-source", "long-dist", "short-outcome"],
+)
+def test_each_model_file_guard_is_reached_and_is_a_data_error(tmp_path, capsys, edit, guard):
+    # a saved model file with one field broken, as load_model and bell-run --model see it
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(_model_document(edit))
+    with pytest.raises(ModelValidationError) as caught:
+        load_model(model_path)
+    assert guard in str(caught.value)
+    out = tmp_path / "stream.csv"
+    assert run(["bell-run", "--model", str(model_path), "--n-trials", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {caught.value}\n"
+    assert not out.exists()
     assert not out.exists()
 
 

@@ -91,7 +91,7 @@ def test_fold_equals_per_trial_counting(rows, slice_rows):
         cell = brute.setdefault((normalize_angle(x), normalize_angle(y)), np.zeros((3, 3), int))
         cell[a + 1, b + 1] += 1
     with pytest.MonkeyPatch.context() as patch:  # from_stream folds this many rows at a time
-        patch.setattr(simulate, "DEFAULT_CHUNK_SIZE", slice_rows)
+        patch.setattr(simulate, "TILE", slice_rows)
         folded = PairCounts.from_stream(as_stream(rows))
     assert per_pair(folded) == [(key, cell.tolist()) for key, cell in brute.items()]
     assert len(folded) == len(rows)
@@ -103,8 +103,13 @@ def test_fold_equals_per_trial_counting(rows, slice_rows):
 
 
 def test_fold_memory_stays_at_one_slice_not_the_stream():
-    # folding the stream whole put this peak at about 12 MiB: per trial, sorted
-    # settings and int64 inverse indices, pair and cell codes; by slices it is 3.1 MiB
+    # folding the stream whole put this peak at about 12 MiB, and 65,536-row slices
+    # at 3.1 MiB.  from_stream folds TILE rows at a time, and its peak is while
+    # _index sorts a slice's y settings.  In TILE-row int64 arrays, alive then are:
+    # the previous slice's xi, yi and pair codes, still bound in _fold's loop (3);
+    # this slice's xi (1); np.unique's flattened copy, argsort and sorted copy, with
+    # two of its cumsum, the cumsum less one and the inverse (5); and its boolean
+    # mask (1/8).  The bound allows 7/8 of one array more for the small objects.
     schedule = SettingsSchedule("random", (0.0, PI / 4), (PI / 8, 3 * PI / 8), seed=1)
     stream = run_experiment(SelectiveModel(3.0, 0.25), schedule, 4 * 65536, 1)
     PairCounts.from_stream(as_stream([(0.0, 0.0, 1, 1)]))
@@ -114,7 +119,7 @@ def test_fold_memory_stays_at_one_slice_not_the_stream():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20, peak
+    assert peak < 10 * simulate.TILE * 8, peak
 
 
 def test_fold_memory_is_linear_in_a_stream_of_distinct_settings():

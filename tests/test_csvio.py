@@ -295,7 +295,7 @@ def test_streamed_fold_of_a_written_file_equals_folding_the_stream(stream, block
 
 def test_settings_first_seen_in_a_later_block_fold_like_the_whole_stream(tmp_path, monkeypatch):
     # the second block brings a new setting (1.0), a raw alias of one already
-    # seen (2*pi for 0.0) and a -0.0, each extending the carried settings table
+    # seen (2*pi for 0.0) and a -0.0, each indexed in that block's own settings table
     head = [(0, 0.0, 0.5, 1, -1), (1, 0.25, 0.5, 0, 1), (2, 0.0, 0.5, 1, 1)]
     tail = [(3, 2 * math.pi, 0.5, -1, -1), (4, 1.0, -0.0, 1, 0), (5, -0.0, 0.5, 0, 0),
             (6, 1.0, 0.5, -1, 1), (7, 0.25, -0.0, 1, 1)]

@@ -72,6 +72,7 @@ def test_one_symbol_streams_keep_their_success_symbol(stream, bits):
     [
         [-1, 0, 1], [-1, 0], [0, 2], [0.5, 1.0], ["B", "X"], ["a", "b"], [math.nan],
         np.array(["B", 1], dtype=object),  # np.unique cannot sort these: no TypeError escapes
+        [1 + 0j, 0],  # complex symbols, which sorted() cannot order
     ],
 )
 def test_encode_binary_refuses_other_alphabets(stream):
