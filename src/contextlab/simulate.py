@@ -230,6 +230,7 @@ def _fold(blocks) -> PairCounts:
                 cells.setdefault(keys[k], np.zeros(9, np.int64))
         for key, cell in zip(keys, block):
             cells[key] += cell
+        del xi, yi, pair  # free this block's int64 arrays before the next block is built
     return PairCounts(tuple(cells), np.array([*cells.values()], dtype=np.int64).reshape(-1, 3, 3))
 
 

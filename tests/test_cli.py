@@ -583,49 +583,49 @@ def _extra_setting(key):
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, guard",
     [
-        _extra_setting("inf"),
-        _extra_setting("abc"),
-        _extra_setting("nan"),
-        _extra_setting("6.283185307179586"),  # 2 pi: three settings declared, two angles
-        _model_document(lambda d: d.update(alice=[1, 2])),
-        _model_document(lambda d: [d]),
-        b"\xff\xfe{}",  # not UTF-8
+        (_extra_setting("inf"), "must be nonempty, finite and distinct mod 2*pi"),
+        (_extra_setting("abc"), "could not convert string to float: 'abc'"),
+        (_extra_setting("nan"), "must be nonempty, finite and distinct mod 2*pi"),
+        # 2 pi: three settings declared, two angles
+        (_extra_setting("6.283185307179586"), "must be nonempty, finite and distinct mod 2*pi"),
+        (_model_document(lambda d: d.update(alice=[1, 2])), "malformed model document"),
+        (_model_document(lambda d: [d]), "malformed model document"),
+        (b"\xff\xfe{}", "not valid JSON"),  # not UTF-8
+        (_model_document(lambda d: d.update(lambda1_space=[])), "source spaces must be nonempty"),
+        (_model_document(lambda d: d.update(source_dist=[])), "source_dist: empty probability table"),
+        (
+            _model_document(lambda d: d["source_dist"][0].__setitem__(0, math.nan)),
+            "non-finite probability",
+        ),
+        (
+            _model_document(lambda d: d.update(source_dist=sum(d["source_dist"], []))),
+            "source_dist shape (9,)",
+        ),
+        (
+            _model_document(lambda d: d["alice"]["0.0"]["dist"].append(0.0)),
+            "dist length != space size",
+        ),
+        (
+            _model_document(lambda d: d["alice"]["0.0"]["outcome"].__delitem__(-1)),
+            "outcome table shape (2, 2)",
+        ),
     ],
-    ids=["inf-key", "abc-key", "nan-key", "colliding-keys", "list-wing", "list-document", "bytes"],
+    ids=[
+        "inf-key", "abc-key", "nan-key", "colliding-keys", "list-wing", "list-document", "bytes",
+        "empty-space", "empty-source", "nan-entry", "flat-source", "long-dist", "short-outcome",
+    ],
 )
-def test_malformed_model_file_is_a_data_error(tmp_path, capsys, content):
+def test_malformed_model_file_is_a_data_error(tmp_path, capsys, content, guard):
     model_path = tmp_path / "model.json"
     model_path.write_bytes(content)
-    out = tmp_path / "stream.csv"
-    assert run(["bell-run", "--model", str(model_path), "--n-trials", "10", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-@pytest.mark.parametrize(
-    "edit, guard",
-    [
-        (lambda d: d.update(lambda1_space=[]), "source spaces must be nonempty"),
-        (lambda d: d.update(source_dist=[]), "source_dist: empty probability table"),
-        (lambda d: d["source_dist"][0].__setitem__(0, math.nan), "non-finite probability"),
-        (lambda d: d.update(source_dist=sum(d["source_dist"], [])), "source_dist shape (9,)"),
-        (lambda d: d["alice"]["0.0"]["dist"].append(0.0), "dist length != space size"),
-        (lambda d: d["alice"]["0.0"]["outcome"].__delitem__(-1), "outcome table shape (2, 2)"),
-    ],
-    ids=["empty-space", "empty-source", "nan-entry", "flat-source", "long-dist", "short-outcome"],
-)
-def test_each_model_file_guard_is_reached_and_is_a_data_error(tmp_path, capsys, edit, guard):
-    # a saved model file with one field broken, as load_model and bell-run --model see it
-    model_path = tmp_path / "model.json"
-    model_path.write_bytes(_model_document(edit))
     with pytest.raises(ModelValidationError) as caught:
         load_model(model_path)
     assert guard in str(caught.value)
     out = tmp_path / "stream.csv"
     assert run(["bell-run", "--model", str(model_path), "--n-trials", "10", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {caught.value}\n"
-    assert not out.exists()
     assert not out.exists()
 
 

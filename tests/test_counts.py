@@ -106,10 +106,10 @@ def test_fold_memory_stays_at_one_slice_not_the_stream():
     # folding the stream whole put this peak at about 12 MiB, and 65,536-row slices
     # at 3.1 MiB.  from_stream folds TILE rows at a time, and its peak is while
     # _index sorts a slice's y settings.  In TILE-row int64 arrays, alive then are:
-    # the previous slice's xi, yi and pair codes, still bound in _fold's loop (3);
-    # this slice's xi (1); np.unique's flattened copy, argsort and sorted copy, with
-    # two of its cumsum, the cumsum less one and the inverse (5); and its boolean
-    # mask (1/8).  The bound allows 7/8 of one array more for the small objects.
+    # this slice's xi (1); np.unique's flattened copy, argsort, sorted copy, cumsum
+    # less one and inverse (5); and its boolean mask (1/8).  The bound allows 7/8 of one array more for the small objects; it
+    # measured 6.36 arrays with numpy 2.4, and the count of 5 is numpy's own
+    # np.unique internals, so another numpy release may move it.
     schedule = SettingsSchedule("random", (0.0, PI / 4), (PI / 8, 3 * PI / 8), seed=1)
     stream = run_experiment(SelectiveModel(3.0, 0.25), schedule, 4 * 65536, 1)
     PairCounts.from_stream(as_stream([(0.0, 0.0, 1, 1)]))
@@ -119,7 +119,7 @@ def test_fold_memory_stays_at_one_slice_not_the_stream():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * simulate.TILE * 8, peak
+    assert peak < 7 * simulate.TILE * 8, peak
 
 
 def test_fold_memory_is_linear_in_a_stream_of_distinct_settings():
