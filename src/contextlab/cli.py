@@ -451,8 +451,9 @@ def cmd_stream_test(v: dict, config: dict) -> int:
         reports = [TESTS[name](faces, v) for name in v["tests"]]
     else:
         wing = v["wing"].upper()
-        # copies: a view of a column would keep its block's 26-byte records alive
-        column = [rows[wing.lower()].copy() for rows in read_stream_blocks(v["stream"])]
+        # copies: a view of a column would keep its block's 26-byte records alive;
+        # they are freed once concatenated
+        column = (rows[wing.lower()].copy() for rows in read_stream_blocks(v["stream"]))
         outcomes = np.concatenate([np.empty(0, np.int8), *column])
         if len(outcomes) == 0:
             raise InsufficientDataError("empty stream")

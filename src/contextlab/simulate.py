@@ -24,11 +24,15 @@ and lambda2 = phi + pi/2 to Bob.  A wing at setting s survives with
 probability sp = (|cos 2(lambda-s)| * |cos(lambda-s)|^asymmetry) ** sharpness,
 and its instrument uniform is partitioned into +1 on [0, sp*c), -1 on
 [sp*c, sp) and 0 (no click) on [sp, 1), where c = cos^2(lambda - s);
-rejection is independent of the would-be outcome.  `wing_outcome` forms
-cos(lambda - s) once per wing for both the survival's |cos|^asymmetry factor
-and c, and gives the outcomes as int8 directly.  `MalusModel` is
-`SelectiveModel` at sharpness 0: every trial clicks, and the raw correlation
-is -cos(2(x-y))/2.
+rejection is independent of the would-be outcome.  `_outcome` is the float64
+kernel: it forms cos(lambda - s) once per wing for both the survival's
+|cos|^asymmetry factor and c, and gives the outcomes as int8 directly.
+`wing_outcome` gives the same bytes faster: it brackets each trial's sp and
+sp*c in float32 between a low and a high end with derived margins, takes the
+outcome wherever both ends give one, and sends the rest (about 1.5e-4 of a
+sweep's trials) to `_outcome`; each wing still sees only its own setting,
+source value and uniform.  `MalusModel` is `SelectiveModel` at sharpness 0:
+every trial clicks, and the raw correlation is -cos(2(x-y))/2.
 """
 
 from __future__ import annotations
@@ -56,7 +60,15 @@ from .models import (
 from .seeding import STREAM_ALICE, STREAM_BOB, STREAM_SETTINGS, STREAM_SOURCE, substream
 
 DEFAULT_CHUNK_SIZE = 65536
-TILE = 8192  # trials per kernel call: 64 KB float temporaries stay in cache and off mmap
+# Trials per kernel call.  A tile's float64 columns are 128 KiB each and the
+# float32 screen's stacks 64-256 KiB, about 1.7 MiB at once with the tile's
+# uniforms: within the 2 MiB per-core L2 of the Xeon it was measured on.  glibc
+# serves a request of 128 KiB or more by mmap only until it frees such a chunk,
+# then raises its mmap threshold to that chunk's size, so from the second tile
+# on these come from the heap.  At 8,192 the screen saves CPU but no sweep wall
+# time: its ~25 numpy calls per tile, each under 20 us there, serialize on the
+# GIL across the sweep's two threads.
+TILE = 16384
 READ_BLOCK_BYTES = 1 << 18  # a stream file is parsed this many bytes at a time
 WRITE_BATCH_ROWS = 1 << 14  # and its text is built this many rows at a time
 STREAM_FORMAT = "trial-stream/1"
@@ -123,8 +135,110 @@ class MalusModel(SelectiveModel):
         return {"kind": "malus"}
 
 
+# the float32 screen of `wing_outcome`, derived in its docstring
+_E, _R, _TINY = 2.0**-16, 2.0**-14, 2.0**-100
+_SCREEN_DELTA, _SCREEN_SHARPNESS, _SCREEN_ASYMMETRY = 16.0, 16.0, 2.0
+_SCREEN_WIDEN = np.float32([-_E, _E])
+_SCREEN_SCALE = np.float32([1 + _R, 1 - _R])
+_SCREEN_SHIFT = np.float32([[_TINY], [-_TINY]])
+
+
 def wing_outcome(model, lam, setting, u) -> np.ndarray:
-    """Outcome of one wing given hidden angle(s), setting(s) and uniform(s).
+    """`_outcome(model, lam, setting, u)` bit for bit, decided in float32 where it can be.
+
+    On the trial kernel's form (1-d delta = lam - setting and u of one length,
+    sharpness <= 16, asymmetry <= 2, every |delta| <= 16) each trial is
+    bracketed in float32.  |cos delta| and |cos 2 delta| are formed from
+    fl32(delta) and 2*fl32(delta) in one (2, n) array, then widened by E into
+    `lo` and `hi` boxes clipped to [0, 1], which hold `_outcome`'s float64
+    |cos| values.  sp and sp*c are non-decreasing in both |cos| terms, so
+    their exact values at `lo` and `hi` bracket `_outcome`'s; `_ends` forms
+    them in float32.  The outcome formula 2*[u < sp*c] - [u < sp] is evaluated
+    at both ends, with u*(1+R)+TINY against `lo` and u*(1-R)-TINY against
+    `hi`.  A `lo` indicator that holds, or a `hi` one that fails, is then
+    `_outcome`'s, and since (A, B) -> 2A - B is one-to-one, two ends that give
+    one outcome give `_outcome`'s.  Trials whose ends disagree (about 1.5e-4 of
+    a sweep's), and every other form, go to `_outcome`.
+
+    - E = 2**-16.  For |delta| <= 16, |fl32(delta) - delta| <= 2**-20, so each
+      float32 cosine argument is off by at most 2**-19 and, cos being
+      1-Lipschitz, its value by as much; float32 cos adds a few ulp (an ulp is
+      at most 2**-24 below 1), float64 cos under 2**-52.  E is 7 times
+      2**-19 + 4 * 2**-24.
+    - R = 2**-14.  `_ends`' sp and sp*c are within R/4 relative of their exact
+      values at the end's box and exponents wherever they are normal: the base
+      b*a**asymmetry carries about 3 float32 roundings, which the sharpness
+      pow multiplies at most 16-fold, and 4 more follow: about 2**-18.7.  u's
+      float32 cast, scaling and shift add 3 roundings (2**-22.4), and
+      `_outcome`'s float64 rounding is under (3 * 16 + 4) * 2**-53 < 2**-47.
+      The sum is under R/2.
+    - TINY = 2**-100.  asymmetry <= 2 keeps the base normal: a positive `lo`
+      is at least 2**-39 (E's float32 spacing), so b*a**asymmetry >= 2**-117.
+      Only the sharpness pow and the products can underflow, each losing under
+      2**-126 absolute, flush-to-zero included; TINY is far above that and far
+      below 2**-53, the smallest positive uniform the generator draws.
+
+    The tests assert the float32 cos within E/4 and `_ends` within R/4 on the
+    numpy they run on, so a less accurate build fails there instead of
+    changing outcomes.
+    """
+    delta = np.asarray(lam, dtype=float) - np.asarray(setting, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not (
+        delta.ndim == 1
+        and delta.shape == u.shape
+        and model.sharpness <= _SCREEN_SHARPNESS
+        and model.asymmetry <= _SCREEN_ASYMMETRY
+        and np.abs(delta).max(initial=0.0) <= _SCREEN_DELTA  # False for a nan delta
+    ):
+        return _outcome(model, delta, 0.0, u)  # delta - 0.0 is delta
+    c = np.empty((2, len(delta)), np.float32)
+    c[0] = delta
+    np.multiply(c[0], 2, out=c[1])
+    np.abs(np.cos(c, out=c), out=c)
+    box = np.add.outer(_SCREEN_WIDEN, c)  # (lo or hi, |cos delta| or |cos 2 delta|, trial)
+    np.clip(box, 0.0, 1.0, out=box)
+    uu = np.multiply.outer(_SCREEN_SCALE, u, dtype=np.float32)
+    uu += _SCREEN_SHIFT
+    held = (uu[:, None] < _ends(model, box)).view(np.int8)
+    out = 2 * held[:, 0] - held[:, 1]
+    undecided = np.flatnonzero(out[0] != out[1])
+    out = out[0]
+    out[undecided] = _outcome(model, delta[undecided], 0.0, u[undecided])
+    return out
+
+
+def _ends(model, box) -> np.ndarray:
+    """float32 (sp*c, sp) at each end of a (lo or hi, a = |cos delta| or
+    b = |cos 2 delta|, ...) `box`, in the same layout.
+
+    Each exponent is rounded to float32 outward, up at `lo` and down at `hi`
+    (the bases are <= 1), so the exact values at the ends' exponents still
+    bracket those at the model's."""
+    a, b = box[:, 0], box[:, 1]
+    ends = np.empty_like(box)
+    spc, sp = ends[:, 0], ends[:, 1]
+    if model.sharpness == 0.0:
+        sp.fill(1.0)
+    else:
+        base = b
+        if model.asymmetry != 0.0:
+            base = np.multiply(np.power(a, _outward(model.asymmetry), out=sp), b, out=sp)
+        np.power(base, _outward(model.sharpness), out=sp)
+    np.multiply(np.square(a, out=spc), sp, out=spc)
+    return ends
+
+
+def _outward(x: float) -> np.ndarray:
+    """float32 [[x rounded up], [x rounded down]], for x >= 0."""
+    near = np.float32(x)
+    up = near if float(near) >= x else np.nextafter(near, np.float32(np.inf))
+    down = near if float(near) <= x else np.nextafter(near, np.float32(0))
+    return np.array([[up], [down]], np.float32)
+
+
+def _outcome(model, lam, setting, u) -> np.ndarray:
+    """Outcome of one wing given hidden angle(s), setting(s) and uniform(s), in float64.
 
     The single instrument uniform encodes both the click/no-click decision and
     the sign: +1 on [0, sp*c), -1 on [sp*c, sp), 0 on [sp, 1).  The int8

@@ -20,12 +20,13 @@ from contextlab.analysis import (
     no_signaling_report,
     quadrature_chsh,
 )
-from contextlab.errors import IncompleteDesignError, InsufficientDataError
+from contextlab.errors import ConfigError, IncompleteDesignError, InsufficientDataError
 from contextlab.models import (
     SettingPair,
     pair_expectation,
     shared_space_model,
 )
+from contextlab.seeding import substream
 from contextlab.simulate import (
     MalusModel,
     SelectiveModel,
@@ -271,6 +272,28 @@ def test_quadrature_chsh_refuses_an_unknown_mode():
         quadrature_chsh(MalusModel(), mode="postselected")
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: substream(1.5, 0, 1), ConfigError, "seed must be an int or tuple of ints"),
+        (lambda: substream("7", 0, 1), ConfigError, "seed must be an int or tuple of ints"),
+        (lambda: substream((), 0, 1), ConfigError, "seed words must be nonnegative"),
+        (lambda: substream((3, -1), 0, 1), ConfigError, "seed words must be nonnegative"),
+        (lambda: substream(-1, 0, 1), ConfigError, "seed words must be nonnegative"),
+        (lambda: substream(1, -1, 1), ConfigError, "chunk_index must be nonnegative"),
+        (lambda: make_estimate(0.0, 1.0, 0.5)[1].expectation("both"), ValueError, "mode must be"),
+    ],
+    ids=["float-seed", "str-seed", "empty-seed", "negative-word", "negative-seed",
+         "negative-chunk", "expectation-mode"],
+)
+def test_guards_no_command_reaches_refuse_their_input(call, error, message):
+    # the CLI validates seeds and modes before these run, so only a library
+    # caller meets these guards
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error
+
+
 def untiled_curves(model, x, y, n_points):
     """`model_curves` as one whole-length pass, the reference its tiles must equal."""
     phi = (np.arange(n_points) + 0.5) * (math.pi / n_points)
@@ -306,8 +329,12 @@ CURVE_MODELS = [MalusModel()] + [
 ]
 
 
+# 8191-8193 and 16387 straddled the tiles when TILE was 8192; they stay as a
+# short single tile and a tile plus 3 points
 @pytest.mark.parametrize(
-    "n_points", [1, 7, analysis.TILE - 1, analysis.TILE, analysis.TILE + 1, 2 * analysis.TILE + 3]
+    "n_points",
+    sorted({1, 7, 8191, 8192, 8193, 16387}
+           | {analysis.TILE - 1, analysis.TILE, analysis.TILE + 1, 2 * analysis.TILE + 3}),
 )
 def test_model_curves_equal_the_untiled_reference_bit_for_bit(n_points):
     for model in CURVE_MODELS:

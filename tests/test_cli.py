@@ -848,10 +848,11 @@ def test_stream_test_skips_and_names_an_outcome_the_wing_never_gives(tmp_path, c
 def test_stream_test_bell_holds_one_byte_per_row_not_the_parsed_stream(tmp_path, capsys, monkeypatch):
     """tracemalloc peak of `stream-test --kind bell` on a 50,000-row stream.
 
-    The command keeps one int8 outcome per row.  At most eight one-byte arrays
-    of the stream's length are alive at once: the per-block copies and their
-    concatenation, the three indicator streams, and up to three temporaries
-    of the step that runs (a comparison mask and its uint8 cast, `np.unique`'s
+    The command keeps one int8 outcome per row.  At most seven one-byte arrays
+    of the stream's length are alive at once: the concatenated outcomes (the
+    per-block copies are freed once concatenated, and while they live no test
+    runs), the three indicator streams, and up to three temporaries of the
+    step that runs (a comparison mask and its uint8 cast, `np.unique`'s
     sorted copy and mask, `np.diff`).  Reading adds one block: its text, its
     26 B records (fewer bytes than their rows' text, about 42 B here) and
     `loadtxt`'s working copies, bounded together by 16 blocks of text.
@@ -871,7 +872,7 @@ def test_stream_test_bell_holds_one_byte_per_row_not_the_parsed_stream(tmp_path,
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 8 * rows + 16 * simulate.READ_BLOCK_BYTES, peak
+    assert peak < 7 * rows + 16 * simulate.READ_BLOCK_BYTES, peak
 
 
 @pytest.mark.parametrize("wing", ["A", "B"])

@@ -351,6 +351,114 @@ def test_wing_outcome_is_the_reference_kernel_bit_for_bit(data, sharpness, asymm
     assert np.array_equal(out, expected)
 
 
+# --- the float32 screen: wing_outcome is _outcome where the screen runs and where it does not
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(
+    data=st.data(),
+    model=st.just(MalusModel())
+    | st.builds(
+        SelectiveModel,
+        st.sampled_from([0.0, 0.1, 1.5, 3.0, 16.0, np.nextafter(16.0, 17.0)])
+        | st.floats(0, 1e-3)
+        | st.floats(0, 1e3),
+        st.sampled_from([0.0, 0.25, 1 / 3, 2.0, 2.5]) | st.floats(0, 8),
+    ),
+    reach=st.sampled_from(["narrow", "wide", "zeros"]),
+)
+def test_wing_outcome_is_its_float64_kernel_bit_for_bit(data, model, reach):
+    # a narrow draw keeps every |delta| <= 16, where the screen runs; a wide one
+    # reaches past 16 and nan, where the whole call is _outcome's.  Next to a
+    # zero of cos delta or cos 2 delta, the farther from 0 the more so, the
+    # float32 cosine's error is largest against its value.
+    edge = st.sampled_from([16.0, -16.0, np.nextafter(16.0, 17.0), 0.0, -0.0])
+    zero = st.sampled_from([PI / 4, PI / 2, 17 * PI / 4, 9 * PI / 2, 19 * PI / 4, -9 * PI / 2])
+    angle = {
+        "narrow": st.floats(-8, 8) | edge,
+        "wide": st.floats(-20, 20) | st.just(math.nan) | edge,
+        "zeros": st.builds(lambda z, k: z + k * 2.0**-22, zero, st.integers(-64, 64)),
+    }[reach]
+    n = data.draw(st.integers(1, 40))
+    lam = np.array(data.draw(st.lists(angle, min_size=n, max_size=n)))
+    setting = np.array(data.draw(st.lists(angle, min_size=n, max_size=n)))
+    if reach == "zeros":
+        setting = np.zeros(n)
+    # per trial a fresh uniform, or one on a float64 threshold, next to one, or 0
+    on = reference_thresholds(model, lam - setting)
+    near = [np.nextafter(t, side) for t in on for side in (-math.inf, math.inf)]
+    placed = np.stack([*on, *near, np.zeros(n)])
+    picks = st.floats(0, 1, exclude_max=True) | st.integers(0, len(placed) - 1)
+    pick = data.draw(st.lists(picks, min_size=n, max_size=n))
+    u = np.array([placed[p, i] if isinstance(p, int) else p for i, p in enumerate(pick)])
+    out = wing_outcome(model, lam, setting, u)
+    assert out.dtype == np.int8
+    assert np.array_equal(out, simulate._outcome(model, lam, setting, u))
+
+
+def test_the_screen_decides_almost_every_trial_of_a_tile(monkeypatch):
+    # the property above holds vacuously if every trial falls through; on a
+    # sweep-like tile the derived margins leave about 1.5e-4 of them to _outcome
+    passed = []
+    reference = simulate._outcome
+
+    def spy(model, lam, setting, u):
+        passed.append(np.size(u))
+        return reference(model, lam, setting, u)
+
+    monkeypatch.setattr(simulate, "_outcome", spy)
+    rng = np.random.default_rng(25)
+    n = simulate.TILE
+    for model in (SelectiveModel(3.0, 0.25), SelectiveModel(1.5, 0.25), MalusModel()):
+        lam, u = rng.random(n) * PI, rng.random(n)
+        setting = rng.choice([0.0, PI / 4, PI / 8, 3 * PI / 8], n)
+        wing_outcome(model, lam, setting, u)
+    assert sum(passed) < 3 * n * 1e-3, passed
+
+
+def _cosine_screen_grid():
+    """A dense delta grid on [-16, 16] and the float64 points around each zero of
+    cos delta and cos 2 delta there, the zeros' own float neighbours included."""
+    zeros = np.concatenate([(np.arange(-6, 6) + 0.5) * PI, (np.arange(-11, 11) / 2 + 0.25) * PI])
+    around = zeros[:, None] + np.concatenate([np.linspace(-1e-4, 1e-4, 401), [0.0]])
+    step = np.nextafter(zeros, math.inf) - zeros
+    ulps = zeros[:, None] + step[:, None] * np.arange(-8, 9)
+    delta = np.concatenate([np.linspace(-16, 16, 2_000_001), around.ravel(), ulps.ravel()])
+    return delta[np.abs(delta) <= 16]
+
+
+def test_float32_cosines_stay_within_a_quarter_of_the_box_width():
+    delta = _cosine_screen_grid()
+    d32 = delta.astype(np.float32)
+    for k in (1, 2):  # the kernel's arguments fl32(delta) and 2 * fl32(delta)
+        err = np.abs(np.cos(k * d32).astype(float) - np.cos(k * delta))
+        assert err.max() <= simulate._E / 4, (k, err.max())
+
+
+@pytest.mark.parametrize("sharpness", [0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 7.3, 16.0])
+@pytest.mark.parametrize("asymmetry", [0.0, 0.1, 0.25, 1 / 3, 1.0, 1.7, 2.0])
+def test_float32_thresholds_stay_within_a_quarter_of_the_relative_margin(sharpness, asymmetry):
+    # `_ends` over the boxes the kernel forms: 0, or 2**-39 up to 1; each end's
+    # exact values at its own float32 exponents, in float64, are the reference
+    rng = np.random.default_rng(25)
+    values = np.concatenate(
+        [[0.0, 2.0**-39, 2.0**-20, 0.5, 1.0], rng.random(3000), 2.0 ** -rng.uniform(0, 39, 3000)]
+    ).astype(np.float32)
+    a, b = rng.choice(values, (2, 20_000))
+    box = np.stack([np.stack([a, b])] * 2)
+    model = SelectiveModel(sharpness, asymmetry)
+    found = simulate._ends(model, box).astype(float)
+    a, b = a.astype(float), b.astype(float)
+    s, eta = (simulate._outward(x).astype(float) for x in (sharpness, asymmetry))
+    with np.errstate(under="ignore"):
+        sp = np.ones((2, len(a))) if sharpness == 0 else (b * a**eta if asymmetry else b) ** s
+        want = np.stack([sp * a**2, sp], axis=1)
+    err = np.abs(found - want)
+    normal = want >= 2.0**-126
+    assert (err[normal] / want[normal]).max(initial=0.0) <= simulate._R / 4
+    assert err[~normal].max(initial=0.0) <= 2.0**-126
+
+
 @pytest.mark.parametrize(
     "sharpness, asymmetry",
     [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)],
@@ -753,7 +861,8 @@ def test_outputs_do_not_depend_on_the_tile_size(tmp_path, monkeypatch, kind, mod
 
 def test_generation_memory_stays_at_tiles_not_chunks():
     # whole-chunk float temporaries put this peak at about 8 MB; with tiles it
-    # is about 3.6 MB, the fold's per-chunk integer arrays included
+    # is about 3.4 MB (3.26 MiB at TILE 16,384 with the float32 screen, as at
+    # 8,192 without it), the fold's per-chunk integer arrays included
     model, schedule = SelectiveModel(3.0, 0.25), SettingsSchedule("cycle", (0.0,), (PI / 8,))
     run_counts(model, schedule, 1000, 1)
     tracemalloc.start()
