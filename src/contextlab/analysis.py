@@ -34,7 +34,7 @@ import numpy as np
 from .errors import IncompleteDesignError, InsufficientDataError
 from .models import SettingPair
 from .randtests import TestReport, check_alpha, chi_square_table
-from .simulate import TILE, PairCounts, SelectiveModel, SettingsSchedule, run_counts
+from .simulate import TILE, PairCounts, SelectiveModel, SettingsSchedule, run_counts, source_angles
 
 # standard maximizer for cosine-law correlations in the 2*theta convention
 DEFAULT_CHSH_SETTINGS = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
@@ -291,9 +291,8 @@ def model_curves(model, x: float, y: float, n_points: int = 200_001) -> dict:
     w, wab, wa, wb = (np.empty(n_points) for _ in range(4))
     for start in range(0, n_points, TILE):
         rows = slice(start, min(start + TILE, n_points))
-        phi = (np.arange(rows.start, rows.stop) + 0.5) * (math.pi / n_points)
-        da = phi - x
-        db = phi + math.pi / 2 - y
+        lam1, lam2 = source_angles((np.arange(rows.start, rows.stop) + 0.5) * (math.pi / n_points))
+        da, db = lam1 - x, lam2 - y
         ca = np.cos(2.0 * da)
         cb = np.cos(2.0 * db)
         w[rows] = model.survival(da, cos2=ca) * model.survival(db, cos2=cb)

@@ -7,6 +7,12 @@ determined by its seeds: settings schedules draw from the schedule seed,
 hidden variables from the experiment master seed, and the two never mix.
 Chunked generation derives one substream per (chunk, stream) pair, which makes
 chunk boundaries part of the reproducibility contract.
+
+`SeedSequence` pads entropy under 4 words with zeros: `substream(s, c, 0)` is
+the `SeedSequence((s, c, 0, 0))` stream.  `demo`'s witness schedule and
+`d3_run` share `substream(seed + 1, 0, 0)`, and its e4 urn's round 0 and both
+hole protocols `substream(seed, 0, 0)`; no number it reports depends on those
+sections being independent.
 """
 
 from __future__ import annotations

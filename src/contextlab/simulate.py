@@ -24,15 +24,15 @@ and lambda2 = phi + pi/2 to Bob.  A wing at setting s survives with
 probability sp = (|cos 2(lambda-s)| * |cos(lambda-s)|^asymmetry) ** sharpness,
 and its instrument uniform is partitioned into +1 on [0, sp*c), -1 on
 [sp*c, sp) and 0 (no click) on [sp, 1), where c = cos^2(lambda - s);
-rejection is independent of the would-be outcome.  `_outcome` is the float64
-kernel: it forms cos(lambda - s) once per wing for both the survival's
-|cos|^asymmetry factor and c, and gives the outcomes as int8 directly.
-`wing_outcome` gives the same bytes faster: it brackets each trial's sp and
+rejection is independent of the would-be outcome.  Both outcome kernels take
+a wing's own delta = lambda - s and u.  `_outcome` is the float64 kernel, on
+any shape: it forms cos delta once for both the survival's |cos|^asymmetry
+factor and c, and gives int8 outcomes directly.  `wing_outcome`, on one delta
+and u per trial, gives the same bytes faster: it brackets each trial's sp and
 sp*c in float32 between a low and a high end with derived margins, takes the
 outcome wherever both ends give one, and sends the rest (about 1.5e-4 of a
-sweep's trials) to `_outcome`; each wing still sees only its own setting,
-source value and uniform.  `MalusModel` is `SelectiveModel` at sharpness 0:
-every trial clicks, and the raw correlation is -cos(2(x-y))/2.
+sweep's trials) to `_outcome`.  `MalusModel` is `SelectiveModel` at
+sharpness 0: every trial clicks, and the raw correlation is -cos(2(x-y))/2.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ DEFAULT_CHUNK_SIZE = 65536
 # time: its ~25 numpy calls per tile, each under 20 us there, serialize on the
 # GIL across the sweep's two threads.
 TILE = 16384
+MAX_CELLS = 10**8  # table cells a `discretize` call may store
 READ_BLOCK_BYTES = 1 << 18  # a stream file is parsed this many bytes at a time
 WRITE_BATCH_ROWS = 1 << 14  # and its text is built this many rows at a time
 STREAM_FORMAT = "trial-stream/1"
@@ -115,7 +116,7 @@ class SelectiveModel:
         return source_angles(u_src * math.pi)
 
     def outcomes(self, wing, src, settings, index, u):
-        return wing_outcome(self, src, settings[index], u)
+        return wing_outcome(self, src - settings[index], u)
 
     def descriptor(self) -> dict:
         return {
@@ -143,22 +144,22 @@ _SCREEN_SCALE = np.float32([1 + _R, 1 - _R])
 _SCREEN_SHIFT = np.float32([[_TINY], [-_TINY]])
 
 
-def wing_outcome(model, lam, setting, u) -> np.ndarray:
-    """`_outcome(model, lam, setting, u)` bit for bit, decided in float32 where it can be.
+def wing_outcome(model, delta, u) -> np.ndarray:
+    """`_outcome(model, delta, u)` bit for bit, decided in float32 where it can be.
 
-    On the trial kernel's form (1-d delta = lam - setting and u of one length,
-    sharpness <= 16, asymmetry <= 2, every |delta| <= 16) each trial is
-    bracketed in float32.  |cos delta| and |cos 2 delta| are formed from
-    fl32(delta) and 2*fl32(delta) in one (2, n) array, then widened by E into
-    `lo` and `hi` boxes clipped to [0, 1], which hold `_outcome`'s float64
-    |cos| values.  sp and sp*c are non-decreasing in both |cos| terms, so
-    their exact values at `lo` and `hi` bracket `_outcome`'s; `_ends` forms
-    them in float32.  The outcome formula 2*[u < sp*c] - [u < sp] is evaluated
-    at both ends, with u*(1+R)+TINY against `lo` and u*(1-R)-TINY against
-    `hi`.  A `lo` indicator that holds, or a `hi` one that fails, is then
-    `_outcome`'s, and since (A, B) -> 2A - B is one-to-one, two ends that give
-    one outcome give `_outcome`'s.  Trials whose ends disagree (about 1.5e-4 of
-    a sweep's), and every other form, go to `_outcome`.
+    `delta` and `u` are 1-d float64 arrays of one length.  Where sharpness <=
+    16, asymmetry <= 2 and every |delta| <= 16, each trial is bracketed in
+    float32.  |cos delta| and |cos 2 delta| are formed from fl32(delta) and
+    2*fl32(delta) in one (2, n) array, then widened by E into `lo` and `hi`
+    boxes clipped to [0, 1], which hold `_outcome`'s float64 |cos| values.
+    sp and sp*c are non-decreasing in both |cos| terms, so their exact values
+    at `lo` and `hi` bracket `_outcome`'s; `_ends` forms them in float32.  The
+    outcome formula 2*[u < sp*c] - [u < sp] is evaluated at both ends, with
+    u*(1+R)+TINY against `lo` and u*(1-R)-TINY against `hi`.  A `lo`
+    indicator that holds, or a `hi` one that fails, is then `_outcome`'s, and
+    since (A, B) -> 2A - B is one-to-one, two ends that give one outcome give
+    `_outcome`'s.  Trials whose ends disagree (about 1.5e-4 of a sweep's) go
+    to `_outcome`, and so does the whole call past those caps or with a nan.
 
     - E = 2**-16.  For |delta| <= 16, |fl32(delta) - delta| <= 2**-20, so each
       float32 cosine argument is off by at most 2**-19 and, cos being
@@ -182,16 +183,12 @@ def wing_outcome(model, lam, setting, u) -> np.ndarray:
     numpy they run on, so a less accurate build fails there instead of
     changing outcomes.
     """
-    delta = np.asarray(lam, dtype=float) - np.asarray(setting, dtype=float)
-    u = np.asarray(u, dtype=float)
     if not (
-        delta.ndim == 1
-        and delta.shape == u.shape
-        and model.sharpness <= _SCREEN_SHARPNESS
+        model.sharpness <= _SCREEN_SHARPNESS
         and model.asymmetry <= _SCREEN_ASYMMETRY
         and np.abs(delta).max(initial=0.0) <= _SCREEN_DELTA  # False for a nan delta
     ):
-        return _outcome(model, delta, 0.0, u)  # delta - 0.0 is delta
+        return _outcome(model, delta, u)
     c = np.empty((2, len(delta)), np.float32)
     c[0] = delta
     np.multiply(c[0], 2, out=c[1])
@@ -204,7 +201,7 @@ def wing_outcome(model, lam, setting, u) -> np.ndarray:
     out = 2 * held[:, 0] - held[:, 1]
     undecided = np.flatnonzero(out[0] != out[1])
     out = out[0]
-    out[undecided] = _outcome(model, delta[undecided], 0.0, u[undecided])
+    out[undecided] = _outcome(model, delta[undecided], u[undecided])
     return out
 
 
@@ -237,18 +234,16 @@ def _outward(x: float) -> np.ndarray:
     return np.array([[up], [down]], np.float32)
 
 
-def _outcome(model, lam, setting, u) -> np.ndarray:
-    """Outcome of one wing given hidden angle(s), setting(s) and uniform(s), in float64.
+def _outcome(model, delta, u) -> np.ndarray:
+    """One wing's outcomes, in float64, from float64 `delta` and `u` of any broadcastable shapes.
 
     The single instrument uniform encodes both the click/no-click decision and
     the sign: +1 on [0, sp*c), -1 on [sp*c, sp), 0 on [sp, 1).  The int8
     outcome is 2*[u < sp*c] - [u < sp], exact because the rounded sp*c <= sp
     (c <= 1, sp >= 0); a nan delta gives 0.
     """
-    delta = np.asarray(lam, dtype=float) - np.asarray(setting, dtype=float)
     cos = np.cos(delta)
     sp = model.survival(delta, cos)
-    u = np.asarray(u, dtype=float)
     return 2 * (u < sp * cos**2).view(np.int8) - (u < sp).view(np.int8)
 
 
@@ -501,13 +496,12 @@ def discretize(
     n_source: int = 360,
     n_alice: int = 1000,
     n_bob: int = 1000,
-    max_cells: int = 10**8,
 ) -> FiniteContextualModel:
     """Midpoint discretization of a continuous model onto finite tables.
 
     The source angle grid has `n_source` uniform cells over [0, pi) with the
     paired lambda2 values rotated by pi/2; each wing's instrument uniform is
-    absorbed into a midpoint grid over [0, 1).  `max_cells` caps the total
+    absorbed into a midpoint grid over [0, 1).  `MAX_CELLS` caps the total
     number of stored table cells (source plus all outcome tables).
     """
     for wing, settings in zip(WINGS, (settings_x, settings_y)):
@@ -519,10 +513,8 @@ def discretize(
         + len(tuple(settings_x)) * n_source * n_alice
         + len(tuple(settings_y)) * n_source * n_bob
     )
-    if stored > max_cells:
-        raise ConfigError(
-            f"discretization would store {stored} cells, above the cap {max_cells}"
-        )
+    if stored > MAX_CELLS:
+        raise ConfigError(f"discretization would store {stored} cells, above the cap {MAX_CELLS}")
     phi = (np.arange(n_source) + 0.5) * (math.pi / n_source)
     lam1, lam2 = source_angles(phi)
     source = np.zeros((n_source, n_source))
@@ -533,7 +525,7 @@ def discretize(
         dist = np.full(n_inst, 1.0 / n_inst)
         out = {}
         for s in settings:
-            outcome = wing_outcome(model, lam[:, None], float(s), u[None, :])
+            outcome = _outcome(model, lam[:, None] - float(s), u[None, :])
             out[float(s)] = (tuple(u), dist, outcome)
         return out
 

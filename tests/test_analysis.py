@@ -294,6 +294,14 @@ def test_guards_no_command_reaches_refuse_their_input(call, error, message):
     assert type(caught.value) is error
 
 
+def test_substream_entropy_is_zero_padded_to_four_words():
+    # SeedSequence pads short entropy with zeros, as the seeding docstring says
+    padded = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, 0, 0, 0))))
+    expected = padded.random(3)
+    assert np.array_equal(substream(5, 0, 0).random(3), expected)
+    assert np.array_equal(substream((5, 0), 0, 0).random(3), expected)
+
+
 def untiled_curves(model, x, y, n_points):
     """`model_curves` as one whole-length pass, the reference its tiles must equal."""
     phi = (np.arange(n_points) + 0.5) * (math.pi / n_points)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from contextlab import simulate
+from contextlab import randtests, simulate
 from contextlab.analysis import DEFAULT_CHSH_SETTINGS, estimate_correlations
 from contextlab.cli import (
     TABLE,
@@ -24,7 +24,8 @@ from contextlab.cli import (
     parse_angle_list,
     run_command,
 )
-from contextlab.errors import ModelValidationError
+from contextlab.coins import BoxEnsemble
+from contextlab.errors import ConfigError, InsufficientDataError, ModelValidationError
 from contextlab.models import SettingPair, load_model
 from contextlab.simulate import read_stream_csv
 from stream_records import stream_digest
@@ -942,3 +943,86 @@ def test_demo_quick_writes_combined_report(tmp_path, capsys):
     assert doc["bernoulli_flagged"] is False
     assert (tmp_path / "demo" / "malus_curve.dat").exists()
     assert (tmp_path / "demo" / "sweep.dat").exists()
+
+
+# --- error guards that no other test reaches ------------------------------------------------
+
+
+def _config_not_an_object(tmp):
+    (tmp / "config.json").write_text("[1]")
+    return ["bell-run", "--config", str(tmp / "config.json"), "--out", str(tmp / "s.csv")]
+
+
+def _analyze(*run_args):
+    """argv of `bell-analyze` on a 2,000-trial `bell-run` stream made with `run_args`."""
+
+    def argv(tmp):
+        stream = str(tmp / "s.csv")
+        assert run(["bell-run", *run_args, "--n-trials", "2000", "--out", stream]) == 0
+        return ["bell-analyze", "--stream", stream]
+
+    return argv
+
+
+BITS = [0, 1] * 500
+GUARDS = {
+    # a command: its argv in a temporary directory, its exit code and a line it prints
+    "config-not-an-object": (_config_not_an_object, 2, "must hold a JSON object"),
+    "unknown-model": (
+        lambda tmp: ["bell-run", "--model", "foo", "--out", str(tmp / "s.csv")], 2, "unknown model 'foo'",
+    ),
+    "negative-coin-count": (
+        lambda tmp: ["coins-run", "--experiment", "e5", "--n-blue", "-1", "--out", str(tmp / "c.csv")],
+        2,
+        "coin counts must be nonnegative",
+    ),
+    "no-joint-detection": (lambda tmp: ["sweep", "--d-grid", "1000000"], 2, "joint detection rate vanishes"),
+    "chsh-unavailable": (
+        _analyze("--model", "selective", "--sharpness", "1000000"), 0, "CHSH (coincidence): unavailable",
+    ),
+    "no-signaling-skipped": (
+        _analyze("--x-settings", "0", "--y-settings", "0.3"), 0, "no-signaling comparison skipped",
+    ),
+    # a library call: the error it raises and its message
+    "pure-box-given-colors": (
+        lambda: BoxEnsemble("pure", n_blue=1), ConfigError, "pure boxes use n_coins only",
+    ),
+    "p-value-past-1": (
+        lambda: randtests.TestReport("t", 0.0, "none", 1.5, 0.01, 1), ValueError, r"p-value 1.5 outside",
+    ),
+    "empty-stream": (lambda: randtests.runs_test([]), InsufficientDataError, "empty stream"),
+    "empty-samples": (
+        lambda: randtests.two_proportion_test(0, 0, 1, 1), InsufficientDataError, "both samples must be nonempty",
+    ),
+    "block-size-0": (
+        lambda: randtests.block_variance_test(BITS, 0), InsufficientDataError, "block_size must be >= 1",
+    ),
+    "group-below-min-subsample": (
+        lambda: randtests.homogeneity_test_groups([BITS, BITS[: randtests.MIN_SUBSAMPLE - 1]]),
+        InsufficientDataError,
+        f"every group needs >= {randtests.MIN_SUBSAMPLE} entries",
+    ),
+    "one-subsample": (
+        lambda: randtests.homogeneity_test(BITS, 1), InsufficientDataError, "n_subsamples must be >= 2",
+    ),
+    "max-lag-0": (lambda: randtests.autocorrelation_test(BITS, 0), InsufficientDataError, "max_lag must be >= 1"),
+    "short-breakdown-demo": (
+        lambda: randtests.inhomogeneity_breakdown_demo((0.2, 0.8), 10, 0),
+        InsufficientDataError,
+        "stream too short for the demonstration",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected, message", GUARDS.values(), ids=GUARDS.keys())
+def test_guards_no_other_test_reaches(call, expected, message, tmp_path, capsys):
+    if isinstance(expected, int):  # a command: the exit code, the line and no traceback
+        code = run(call(tmp_path))
+        out, err = capsys.readouterr()
+        assert code == expected, err
+        assert message in out + err
+        assert "Traceback" not in err
+    else:
+        with pytest.raises(expected, match=message) as caught:
+            call()
+        assert type(caught.value) is expected

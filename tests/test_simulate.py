@@ -93,7 +93,7 @@ def test_aligned_malus_wing_always_clicks_plus():
     # cos^2(0) = 1: with the hidden angle equal to the setting, +1 is sure
     model = MalusModel()
     u = np.linspace(0.0, 0.999999, 1000)
-    out = wing_outcome(model, 0.7, 0.7, u)
+    out = wing_outcome(model, np.full_like(u, 0.7) - 0.7, u)
     assert np.all(out == 1)
 
 
@@ -296,7 +296,7 @@ def test_selective_rejection_probability_tracks_survival_law():
     delta = 0.4
     n = 200000
     u = (np.arange(n) + 0.5) / n
-    out = wing_outcome(model, delta, 0.0, u)
+    out = wing_outcome(model, np.full(n, delta), u)
     survival = float(model.survival(delta))
     assert abs(np.mean(out == 0) - (1 - survival)) < 1e-4
     assert abs(np.mean(out == 1) - survival * math.cos(delta) ** 2) < 1e-4
@@ -314,10 +314,9 @@ def reference_thresholds(model, delta):
     return sp * np.cos(delta) ** 2, sp
 
 
-def reference_wing_outcome(model, lam, setting, u):
+def reference_wing_outcome(model, delta, u):
     """The int64 `np.where` kernel that `wing_outcome` replaced."""
-    lo, hi = reference_thresholds(model, np.asarray(lam, dtype=float) - np.asarray(setting))
-    u = np.asarray(u, dtype=float)
+    lo, hi = reference_thresholds(model, delta)
     return np.where(u < lo, 1, np.where(u < hi, -1, 0)).astype(np.int8)
 
 
@@ -333,8 +332,8 @@ def test_wing_outcome_is_the_reference_kernel_bit_for_bit(data, sharpness, asymm
     angle = st.floats(-10, 10) | st.just(math.nan)
     lam = np.array(data.draw(st.lists(angle, min_size=1, max_size=20)))
     n = len(lam)
-    # discretize's shape is one scalar setting against lam[:, None] and u[None, :];
-    # the trial kernel's is one setting per trial
+    # discretize's grid, one scalar setting against lam[:, None] and u[None, :],
+    # goes to _outcome; wing_outcome takes one setting per trial
     setting = data.draw(angle) if grid else np.array(data.draw(st.lists(angle, min_size=n, max_size=n)))
     lo, hi = reference_thresholds(model, lam - setting)
     u = []
@@ -344,9 +343,12 @@ def test_wing_outcome_is_the_reference_kernel_bit_for_bit(data, sharpness, asymm
         u.append(data.draw(st.floats(0, 1, exclude_max=True) | st.sampled_from([lo[i], hi[i]])))
     u = np.array(u)
     if grid:
-        lam, u = lam[:, None], u[None, :]
-    out = wing_outcome(model, lam, setting, u)
-    expected = reference_wing_outcome(model, lam, setting, u)
+        delta, u = lam[:, None] - setting, u[None, :]
+        out = simulate._outcome(model, delta, u)
+    else:
+        delta = lam - setting
+        out = wing_outcome(model, delta, u)
+    expected = reference_wing_outcome(model, delta, u)
     assert out.dtype == np.int8 and out.shape == expected.shape
     assert np.array_equal(out, expected)
 
@@ -391,9 +393,9 @@ def test_wing_outcome_is_its_float64_kernel_bit_for_bit(data, model, reach):
     picks = st.floats(0, 1, exclude_max=True) | st.integers(0, len(placed) - 1)
     pick = data.draw(st.lists(picks, min_size=n, max_size=n))
     u = np.array([placed[p, i] if isinstance(p, int) else p for i, p in enumerate(pick)])
-    out = wing_outcome(model, lam, setting, u)
+    out = wing_outcome(model, lam - setting, u)
     assert out.dtype == np.int8
-    assert np.array_equal(out, simulate._outcome(model, lam, setting, u))
+    assert np.array_equal(out, simulate._outcome(model, lam - setting, u))
 
 
 def test_the_screen_decides_almost_every_trial_of_a_tile(monkeypatch):
@@ -402,9 +404,9 @@ def test_the_screen_decides_almost_every_trial_of_a_tile(monkeypatch):
     passed = []
     reference = simulate._outcome
 
-    def spy(model, lam, setting, u):
+    def spy(model, delta, u):
         passed.append(np.size(u))
-        return reference(model, lam, setting, u)
+        return reference(model, delta, u)
 
     monkeypatch.setattr(simulate, "_outcome", spy)
     rng = np.random.default_rng(25)
@@ -412,7 +414,7 @@ def test_the_screen_decides_almost_every_trial_of_a_tile(monkeypatch):
     for model in (SelectiveModel(3.0, 0.25), SelectiveModel(1.5, 0.25), MalusModel()):
         lam, u = rng.random(n) * PI, rng.random(n)
         setting = rng.choice([0.0, PI / 4, PI / 8, 3 * PI / 8], n)
-        wing_outcome(model, lam, setting, u)
+        wing_outcome(model, lam - setting, u)
     assert sum(passed) < 3 * n * 1e-3, passed
 
 
@@ -511,9 +513,16 @@ def test_discretized_selective_postselected_marginal_depends_on_bob_setting():
 def test_discretization_guards():
     with pytest.raises(ConfigError):
         discretize(MalusModel(), (0.0,), (0.0,), n_source=1)
-    with pytest.raises(ConfigError):
-        discretize(MalusModel(), (0.0,), (0.0,), n_source=400, n_alice=1000, n_bob=1000,
-                   max_cells=10**5)
+    # 10**4 x 10**4 cells per table, 3e8 in all, is over the cap: refused by
+    # arithmetic before any table is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="above the cap"):
+            discretize(MalusModel(), (0.0,), (0.0,), n_source=10**4, n_alice=10**4, n_bob=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_calibrated_selective_tracks_full_cosine_better_than_malus():
