@@ -38,6 +38,8 @@ from .simulate import TILE, PairCounts, SelectiveModel, SettingsSchedule, run_co
 
 # standard maximizer for cosine-law correlations in the 2*theta convention
 DEFAULT_CHSH_SETTINGS = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
+# a*b on each outcome cell counts[a + 1, b + 1]; its square marks where both clicked
+_PRODUCT = np.multiply.outer((-1, 0, 1), (-1, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +95,7 @@ def _mean_and_se(n: int, s1: int, s2: int) -> tuple[float, float]:
 
 def _estimate(pair: SettingPair, counts: np.ndarray) -> CorrelationEstimate:
     """The estimate of one pair from its 3x3 outcome counts."""
-    n = int(counts.sum())
-    # the product a*b is +1 on the (-1,-1) and (+1,+1) cells, -1 on the
-    # (-1,+1) and (+1,-1) cells and 0 elsewhere; its square marks coincidences
-    s1 = int(counts[0, 0] + counts[2, 2] - counts[0, 2] - counts[2, 0])
-    n_coinc = int(counts[0, 0] + counts[2, 2] + counts[0, 2] + counts[2, 0])
+    n, s1, n_coinc = (int((weight * counts).sum()) for weight in (1, _PRODUCT, _PRODUCT**2))
     raw, raw_se = _mean_and_se(n, s1, n_coinc)
     c_mean, c_se = _mean_and_se(n_coinc, s1, n_coinc) if n_coinc else (None, None)
     return CorrelationEstimate(pair, counts, n, raw, raw_se, n_coinc, c_mean, c_se)
@@ -270,8 +268,7 @@ def no_signaling_report(
             "no-signaling comparison needs at least two counterpart settings "
             "for some setting of some wing"
         )
-    clicked = np.array([1, 0, 1])  # keeps the block where both wings clicked
-    both = folded.counts * np.outer(clicked, clicked)
+    both = folded.counts * _PRODUCT**2
     post = _singles_tests(folded, both, "postselected-singles", alpha_postselected)
     return NoSignalingReport(raw_tests=tuple(raw), postselected_tests=tuple(post))
 

@@ -67,9 +67,12 @@ def d3_run(n: int, seed, p_blue: float = 0.5) -> np.ndarray:
     _check_n(n)
     if not 0.0 <= p_blue <= 1.0:
         raise ConfigError(f"p_blue must be in [0, 1], got {p_blue}")
-    rng = substream(seed, 0, 0)
-    draws = rng.random(n) < p_blue
-    return np.where(draws, "B", "R")
+    return _flip(substream(seed, 0, 0), n, p_blue)
+
+
+def _flip(rng: np.random.Generator, n: int, p_blue: float) -> np.ndarray:
+    """n faces from `rng`, each blue with probability `p_blue`: the D3 draw."""
+    return np.where(rng.random(n) < p_blue, "B", "R")
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +155,7 @@ def box_run(box: BoxEnsemble, n: int, rng: np.random.Generator) -> np.ndarray:
     _check_n(n)
     if box.size < 1:
         raise EmptyUrnError("box is empty")
-    if box.kind == "mixed":
-        draws = rng.random(n) < box.n_blue / box.size
-    else:
-        draws = rng.random(n) < 0.5
-    return np.where(draws, "B", "R")
+    return _flip(rng, n, box.n_blue / box.size if box.kind == "mixed" else 0.5)
 
 
 @dataclass(frozen=True)

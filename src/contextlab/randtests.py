@@ -247,23 +247,18 @@ def runs_test(stream, alpha: float = 0.01) -> TestReport:
     n2 = n - n1
     runs = int(np.count_nonzero(np.diff(bits))) + 1
     if n1 == 0 or n2 == 0:
-        return TestReport(
-            name="runs",
-            statistic=float(runs),
-            null_ref="degenerate-exact",
-            p_value=0.0,
-            alpha=alpha,
-            n=n,
-            details={"runs": runs, "n1": n1, "n2": n2, "degenerate": True},
-        )
-    expected = 1.0 + 2.0 * n1 * n2 / n
-    if n < RUNS_NORMAL_CUTOFF:
-        statistic, null_ref = float(runs), "exact-combinatorial"
-        p = _exact_runs_p_value(n1, n2, runs)
+        statistic, null_ref, p = float(runs), "degenerate-exact", 0.0
+        details = {"runs": runs, "n1": n1, "n2": n2, "degenerate": True}
     else:
-        variance = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
-        statistic = float((runs - expected) / math.sqrt(variance))
-        null_ref, p = "normal(0,1)", float(erfc(abs(statistic) / math.sqrt(2)))
+        expected = 1.0 + 2.0 * n1 * n2 / n
+        if n < RUNS_NORMAL_CUTOFF:
+            statistic, null_ref = float(runs), "exact-combinatorial"
+            p = _exact_runs_p_value(n1, n2, runs)
+        else:
+            variance = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
+            statistic = float((runs - expected) / math.sqrt(variance))
+            null_ref, p = "normal(0,1)", float(erfc(abs(statistic) / math.sqrt(2)))
+        details = {"runs": runs, "expected": expected, "n1": n1, "n2": n2}
     return TestReport(
         name="runs",
         statistic=statistic,
@@ -271,7 +266,7 @@ def runs_test(stream, alpha: float = 0.01) -> TestReport:
         p_value=p,
         alpha=alpha,
         n=n,
-        details={"runs": runs, "expected": expected, "n1": n1, "n2": n2},
+        details=details,
     )
 
 

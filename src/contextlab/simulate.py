@@ -40,6 +40,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -348,17 +349,6 @@ def _cell_codes(pair, a, b) -> np.ndarray:
     return (pair * 3 + a + 1) * 3 + b + 1
 
 
-def _cell_tail(x_settings, y_settings):
-    """Cell code -> the row text after the trial index: settings by repr, outcomes, CRLF."""
-    ny = len(y_settings)
-
-    def tail(c):
-        x, y = x_settings[c // 9 // ny], y_settings[c // 9 % ny]
-        return f",{x!r},{y!r},{c // 3 % 3 - 1},{c % 3 - 1}\r\n"
-
-    return tail
-
-
 # ---------------------------------------------------------------------------
 # Settings schedules
 # ---------------------------------------------------------------------------
@@ -417,7 +407,7 @@ def _chunks(model, schedule: SettingsSchedule, n_trials: int, master_seed, chunk
     """Check the run's sizes, then return a generator of one `_fold` block
     `(xs, ys, xi, yi, a, b)` per chunk: the schedule's setting tables, each
     trial's indices into them and the outcomes.  Checking on the call, not on
-    the first `next()`, lets a caller refuse a run before it opens its output."""
+    the first `next()`, lets `run_experiment` refuse a run before its `np.empty`."""
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
     if chunk_size < 1:
@@ -544,13 +534,12 @@ def discretize(
 
 
 def stream_metadata(model, schedule, n_trials, master_seed, chunk_size) -> dict:
-    seed = list(master_seed) if isinstance(master_seed, (tuple, list)) else master_seed
     return {
         "format": STREAM_FORMAT,
         "columns": list(CSV_HEADER),
         "model": model.descriptor(),
         "schedule": schedule.descriptor(),
-        "master_seed": seed,
+        "master_seed": master_seed,
         "chunk_size": int(chunk_size),
         "n_trials": int(n_trials),
         "tool_version": __version__,
@@ -567,18 +556,25 @@ def write_rows(path, header, blocks, tail, metadata: dict | None = None) -> None
 
     Blocks are written in batches of `WRITE_BATCH_ROWS` rows; each distinct code's
     tail (the other fields and CRLF, unquoted as `csv.writer` writes them) is
-    formatted once.  `metadata` goes to the JSON sidecar.
+    formatted once.  Rows go to `<path>.part`, which replaces `path` after the last
+    row or is removed if a block raises; `metadata` then goes to the JSON sidecar.
     """
     text: dict = {}
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for keys, codes in blocks:
-            for start in range(0, len(keys), WRITE_BATCH_ROWS):
-                rows = slice(start, start + WRITE_BATCH_ROWS)
-                batch = codes[rows].tolist()
-                text.update((code, tail(code)) for code in set(batch).difference(text))
-                lines = zip(keys[rows].tolist(), batch)
-                fh.write("".join([str(key) + text[code] for key, code in lines]))
+    part = Path(f"{path}.part")
+    try:
+        with part.open("w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for keys, codes in blocks:
+                for start in range(0, len(keys), WRITE_BATCH_ROWS):
+                    rows = slice(start, start + WRITE_BATCH_ROWS)
+                    batch = codes[rows].tolist()
+                    text.update((code, tail(code)) for code in set(batch).difference(text))
+                    lines = zip(keys[rows].tolist(), batch)
+                    fh.write("".join([str(key) + text[code] for key, code in lines]))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     if metadata is not None:
         meta_path(path).write_text(json.dumps(metadata, indent=1, sort_keys=True))
 
@@ -632,15 +628,13 @@ def write_run_csv(
     schedule's setting indices, so memory stays at one chunk however many
     trials run.
     """
-    ny = len(schedule.y_settings)
     chunks = _chunks(model, schedule, n_trials, master_seed, chunk_size)
     blocks = (
-        (np.arange(k * chunk_size, k * chunk_size + len(a)), _cell_codes(xi * ny + yi, a, b))
+        (np.arange(k * chunk_size, k * chunk_size + len(a)), xi, yi, a, b)
         for k, (_, _, xi, yi, a, b) in enumerate(chunks)
     )
-    tail = _cell_tail(schedule.x_settings, schedule.y_settings)
     metadata = stream_metadata(model, schedule, n_trials, master_seed, chunk_size)
-    write_rows(path, CSV_HEADER, blocks, tail, metadata)
+    _write_stream(path, schedule.x_settings, schedule.y_settings, blocks, metadata)
 
 
 def write_stream_csv(stream: np.ndarray, path, metadata: dict | None = None) -> None:
@@ -648,13 +642,25 @@ def write_stream_csv(stream: np.ndarray, path, metadata: dict | None = None) -> 
 
     Floats are written with repr (shortest round-trip form), so rewriting the
     same stream is byte-identical and reading back is lossless.  The settings
-    tables are `_index`'s.
+    tables are `_index`'s, as Python floats, whose repr numpy 2 would not give.
     """
     _check_rows(stream)
     xs, ys, xi, yi, a, b = _index(stream)
-    codes = _cell_codes(xi * len(ys) + yi, a, b)
-    tail = _cell_tail(xs.tolist(), ys.tolist())
-    write_rows(path, CSV_HEADER, [(stream["trial"], codes)], tail, metadata)
+    _write_stream(path, xs.tolist(), ys.tolist(), [(stream["trial"], xi, yi, a, b)], metadata)
+
+
+def _write_stream(path, x_settings, y_settings, blocks, metadata) -> None:
+    """Write `(trial, xi, yi, a, b)` blocks as stream rows, settings `x_settings[xi]`
+    and `y_settings[yi]` by repr: the one writer behind `write_run_csv` and
+    `write_stream_csv`, each row's tail keyed by its `_cell_codes` code."""
+    ny = len(y_settings)
+
+    def tail(c):
+        x, y = x_settings[c // 9 // ny], y_settings[c // 9 % ny]
+        return f",{x!r},{y!r},{c // 3 % 3 - 1},{c % 3 - 1}\r\n"
+
+    coded = ((trial, _cell_codes(xi * ny + yi, a, b)) for trial, xi, yi, a, b in blocks)
+    write_rows(path, CSV_HEADER, coded, tail, metadata)
 
 
 def check_sidecar(path, expected: dict) -> None:

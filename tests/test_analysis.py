@@ -89,6 +89,22 @@ def test_zero_coincidence_pair_keeps_raw_and_flags_conditional():
         est.expectation("coincidence")
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_estimate_moments_are_the_per_trial_sums(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 300))
+    x, y = rng.choice([0.0, PI / 4], n), rng.choice([PI / 8, 3 * PI / 8], n)
+    a, b = rng.choice([-1, 0, 1], (2, n), p=[0.4, 0.2, 0.4])
+    for pair, est in estimate_correlations(records(x, y, a, b)).items():
+        rows = (x == pair.x) & (y == pair.y)
+        product = [int(u) * int(v) for u, v in zip(a[rows], b[rows])]
+        n_coinc = sum(p * p for p in product)
+        assert (est.n_trials, est.n_coincidences) == (int(rows.sum()), n_coinc)
+        assert est.raw_expectation == sum(product) / est.n_trials
+        if n_coinc:
+            assert est.coincidence_expectation == sum(product) / n_coinc
+
+
 def test_estimator_matches_malus_curve_at_moderate_n():
     model = MalusModel()
     theta = PI / 6

@@ -208,15 +208,30 @@ def test_non_finite_selective_parameters_are_data_errors(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--n-trials", "--chunk-size"])
-def test_a_refused_run_keeps_the_stream_already_at_its_out_path(tmp_path, flag):
+@pytest.mark.parametrize(
+    "refused",
+    [
+        pytest.param(["--n-trials", "0"], id="--n-trials"),
+        pytest.param(["--chunk-size", "0"], id="--chunk-size"),
+        # these three are refused while the rows are generated, after the output is opened
+        pytest.param(["--master-seed", "-1"], id="--master-seed"),
+        pytest.param(["--schedule", "random", "--schedule-seed", "-3"], id="--schedule-seed"),
+        pytest.param(["--model", "m.json", "--x-settings", "0,0.3"], id="--model-settings"),
+    ],
+)
+def test_a_refused_run_keeps_the_stream_already_at_its_out_path(tmp_path, monkeypatch, refused):
+    from contextlab.models import random_model, save_model
+
+    monkeypatch.chdir(tmp_path)
+    save_model(random_model(np.random.default_rng(1)), "m.json")  # settings 0 and pi/4 on x
     out = tmp_path / "s.csv"
     base = ["bell-run", "--n-trials", "50", "--schedule-seed", "1", "--out", str(out)]
     assert run(base) == 0
     sidecar = tmp_path / "s.csv.meta.json"
     before = out.read_bytes(), sidecar.read_bytes()
-    assert run(base + [flag, "0"]) == 2
+    assert run(base + refused) == 2
     assert (out.read_bytes(), sidecar.read_bytes()) == before
+    assert not (tmp_path / "s.csv.part").exists()
 
 
 def test_importing_the_cli_and_generating_load_no_scipy(tmp_path):

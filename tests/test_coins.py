@@ -181,6 +181,9 @@ def test_d3_frequency_and_reproducibility():
     freq = float(np.mean(stream == "B"))
     assert abs(freq - 0.5) < 0.002
     assert np.array_equal(stream, d3_run(10**6, seed=12))
+    pure = BoxEnsemble("pure", n_coins=7)  # a pure box is D3 at p_blue 0.5
+    for n, seed in ((1, 0), (17, 3), (10**6, 12)):
+        assert np.array_equal(box_run(pure, n, substream(seed, 0, 0)), d3_run(n, seed))
 
 
 def test_d3_lag_one_autocorrelation_is_negligible():

@@ -113,6 +113,7 @@ def test_single_symbol_stream_is_degenerate_exact():
     assert report.p_value == 0.0
     assert report.reject
     assert report.null_ref == "degenerate-exact"
+    assert report.details == {"runs": 1, "n1": 50, "n2": 0, "degenerate": True}
 
 
 def test_exact_runs_distribution_matches_brute_force():
@@ -140,6 +141,8 @@ def test_exact_runs_distribution_matches_brute_force():
         for i, size in enumerate(blocks):
             stream += [1 - (i % 2)] * size
         report = runs_test(np.array(stream))
+        assert report.null_ref == "exact-combinatorial"
+        assert set(report.details) == {"runs", "expected", "n1", "n2"}
         assert report.details["runs"] == r_obs
         assert report.p_value == pytest.approx(expected_p, abs=1e-12)
 
