@@ -34,7 +34,7 @@ import numpy as np
 from .errors import IncompleteDesignError, InsufficientDataError
 from .models import SettingPair
 from .randtests import TestReport, check_alpha, chi_square_table
-from .simulate import TILE, PairCounts, SelectiveModel, SettingsSchedule, run_counts, source_angles
+from .simulate import PairCounts, SelectiveModel, SettingsSchedule, run_counts, source_angles
 
 # standard maximizer for cosine-law correlations in the 2*theta convention
 DEFAULT_CHSH_SETTINGS = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
@@ -278,35 +278,159 @@ def no_signaling_report(
 # ---------------------------------------------------------------------------
 
 
-def model_curves(model, x: float, y: float, n_points: int = 200_001) -> dict:
-    """Deterministic midpoint-rule values for one continuous-model pair.
+# Each value's bound, less its rounding part, that `model_curves` refines h to meet.
+QUADRATURE_TOLERANCE = 1e-12
+_DE_SPAN = 3.5  # a rule's nodes lie in t in (-_DE_SPAN, _DE_SPAN)
+_DE_HALVINGS = 6  # h is halved at most this many times after the first rule
+_U = 2.0**-53  # the unit roundoff of float64
 
-    Returns raw/coincidence expectations, the joint detection rate and both
-    post-selected marginals.  The integrands are formed `TILE` points at a
-    time, then each is summed whole: np.sum's pairwise order sets the bits.
+
+def model_curves(model, x: float, y: float, n_points: int = 107) -> dict:
+    """Double-exponential (tanh-sinh) quadrature for one continuous-model pair.
+
+    Returns the raw and coincidence expectations, the joint detection rate and
+    both post-selected marginals, each a mean over the source angle phi in
+    [0, pi); `bound` maps each name to a bound on its error, and `nodes` is the
+    nodes per panel of the rule that gave them.
+
+    **The panels.**  With delta_A = phi - x and delta_B = phi + pi/2 - y, each
+    wing's factors |cos 2 delta| and |cos delta| have their zeros and peaks
+    where delta = 0, pi/4, pi/2 or 3pi/4 (mod pi).  So one period of phi,
+    started at such a point, splits into at most 8 panels, each between two
+    of them, and the four integrands (w, w ca cb, w ca and w cb, where w is
+    the product of the wings' survivals and ca, cb their cos 2 delta) are
+    analytic inside every panel.  Their |t|^p behaviour (p = d at a zero of
+    cos 2 delta, d * asymmetry at one of cos delta) and a large sharpness's
+    peaks sit at panel ends, where the rule's nodes cluster.
+
+    **The rule.**  On a panel [a, b] of half-width m, phi = a + m (1 + tanh(pi/2
+    sinh t)) turns the integral into one over the real t line, which the
+    trapezoidal rule of step h sums; its error falls like exp(-c/h).  A rule of
+    n nodes per panel takes h = 2 T / n and the nodes t_k = (k - (n-1)/2) h,
+    T = `_DE_SPAN`.  Each node's distance from the nearer end, m * 2 / (exp(2
+    |u|) + 1) with u = pi/2 sinh t, is formed directly, so no node is rounded
+    onto an end.  Each integrand's terms are summed with `math.fsum`, so the
+    sum is correctly rounded and does not depend on their order.  The node
+    tables and the survival's powers come from the `math` module, not from
+    numpy, whose float64 exp, sinh, cosh and pow kernels differ in last bits
+    with the host's CPU features: with numpy's AVX-512 kernels off, and with
+    AVX2, FMA and glibc's FMA variants off as well, every value kept its bits
+    on the sweep's grids.
+
+    **The bound** of each of the four means is the sum of three parts:
+
+    - discretization: |Q_h - Q_2h|, where Q_2h sums every other node at twice
+      the weight.  Once the rule resolves the integrand, halving h about
+      squares the error, so the error of Q_h is far below that of Q_2h and
+      |Q_h - Q_2h| bounds it.  It cannot see a feature that neither density
+      resolves; the panels put the kinks and the peaks of a wing at nodes'
+      clusters, and the test property checks the bound against references;
+    - truncation: the nodes stop at |t| = (n-1)/2 h, 3e-22 of the half-width
+      from the ends at the default rule.  The trapezoidal terms left out sum to
+      at most the integral over that last sliver, at most its width times the
+      larger of |f| at the last node and at the end (no extremum lies between
+      them, so |f| is monotone there);
+    - rounding, to first order in the unit roundoff u: each term's relative
+      error is at most kappa u, with kappa = 2 d (9 + 4 asymmetry) + 47 +
+      10 |u_k|.  That counts each cos, exp, sinh, cosh and pow as within 4
+      ulp, raising to d multiplying a relative error by d, and the weight's
+      exp(2 |u_k|) amplifying that of u_k.  Each node's position is also off by
+      at most D = 8 u (pi + |x| + |y|) (the panel ends, the node, and
+      delta = phi - s), which moves a term by D times its logarithmic
+      derivative, at most (d + 1) 2 (|tan 2 delta_A| + |tan 2 delta_B|) +
+      d asymmetry (|tan delta_A| + |tan delta_B|); and the fsum adds half an
+      ulp.
+
+    A ratio r = p / w with bounds e_p and e_w is within (e_p + |r| e_w) / (w -
+    e_w) + u |r|.  The first rule has `n_points` nodes per panel, and n is
+    doubled (h halved), up to `_DE_HALVINGS` times, until every value's bound
+    without its rounding part is at most `QUADRATURE_TOLERANCE`.  The default
+    107 nodes (h = 7/107) meet it for the sweep's grid in the first rule: at
+    most 8 * 109 evaluations per pair, the panel ends included.
     """
-    w, wab, wa, wb = (np.empty(n_points) for _ in range(4))
-    for start in range(0, n_points, TILE):
-        rows = slice(start, min(start + TILE, n_points))
-        lam1, lam2 = source_angles((np.arange(rows.start, rows.stop) + 0.5) * (math.pi / n_points))
-        da, db = lam1 - x, lam2 - y
-        ca = np.cos(2.0 * da)
-        cb = np.cos(2.0 * db)
-        w[rows] = model.survival(da, cos2=ca) * model.survival(db, cos2=cb)
-        np.multiply(w[rows], ca, out=wa[rows])
-        np.multiply(wa[rows], cb, out=wab[rows])
-        np.multiply(w[rows], cb, out=wb[rows])
-    total = float(np.sum(w))
-    rate = total / n_points
-    if total <= 0.0:
-        raise InsufficientDataError("joint detection rate vanishes")
-    product = float(np.sum(wab))
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    for halving in range(_DE_HALVINGS + 1):
+        nodes = n_points << halving
+        means, refinable, rounding = _de_rule(model, x, y, nodes)
+        if means[0] <= 0.0:
+            raise InsufficientDataError("joint detection rate vanishes")
+        if max(bound for _, bound in _curves(means, refinable).values()) <= QUADRATURE_TOLERANCE:
+            break
+    curves = _curves(means, [e + r for e, r in zip(refinable, rounding)])
+    result: dict = {name: value for name, (value, _) in curves.items()}
+    result["bound"] = {name: bound for name, (_, bound) in curves.items()}
+    result["nodes"] = nodes
+    return result
+
+
+def _de_rule(model, x: float, y: float, n: int):
+    """One tanh-sinh rule of `n` nodes per panel: the four means (w, w ca cb,
+    w ca, w cb) and their discretization-plus-truncation and rounding bounds,
+    as `model_curves` derives them."""
+    q = math.pi / 4
+    a = np.array(sorted({s % q + k * q for s in (x, y) for k in range(4)}))[:, None]
+    b = np.append(a[1:], a[:1] + math.pi, axis=0)
+    m = (b - a) / 2
+    h = 2 * _DE_SPAN / n
+    t = [(k - (n - 1) / 2) * h for k in range(n)]
+    u = [(math.pi / 2) * math.sinh(tk) for tk in t]
+    # each node's distance from the nearer end, in m, and its weight, (pi/2) dt over the period's pi
+    gap = np.array([2 / (math.exp(2 * abs(uk)) + 1) for uk in u])
+    weight = m * np.array([(h / 2) * math.cosh(tk) / math.cosh(uk) ** 2 for tk, uk in zip(t, u)])
+    t, u = np.array(t), np.array(u)
+    phi = np.concatenate([np.where(t < 0, a + m * gap, b - m * gap), a, b], axis=1)
+    f, slope = _integrands(model, x, y, phi)
+    terms = f[..., :n] * weight
+    means = [math.fsum(v.ravel().tolist()) for v in terms]
+    coarse = [2 * math.fsum(v[:, ::2].ravel().tolist()) for v in terms]
+    # the sliver past each panel's last node at either end, over the period's pi
+    sliver = m * gap[0] / math.pi
+    tails = np.maximum(abs(f[..., [0, n - 1]]), abs(f[..., [n, n + 1]])) * sliver
+    kappa = 2 * model.sharpness * (9 + 4 * model.asymmetry) + 47 + 10 * np.abs(u)
+    shift = 8 * (math.pi + abs(x) + abs(y))
+    error = abs(terms) * (kappa + shift * slope[:, :n])
+    refinable = [abs(mean - c) + float(e.sum()) for mean, c, e in zip(means, coarse, tails)]
+    rounding = [_U * (float(e.sum()) + abs(mean)) for mean, e in zip(means, error)]
+    return means, refinable, rounding
+
+
+def _integrands(model, x, y, phi):
+    """(w, w ca cb, w ca, w cb) at source angles `phi`, stacked on a new first
+    axis, and the bound on their logarithmic derivative in delta that
+    `model_curves` derives."""
+    lam1, lam2 = source_angles(phi)
+    da, db = lam1 - x, lam2 - y
+    ca, cb = np.cos(2.0 * da), np.cos(2.0 * db)
+    w = model.survival(da, cos2=ca, power=_math_power) * model.survival(db, cos2=cb, power=_math_power)
+    wa = w * ca
+    d, asym = model.sharpness, model.asymmetry
+    slope = (d + 1) * 2 * (abs(np.tan(2.0 * da)) + abs(np.tan(2.0 * db)))
+    if d * asym:
+        slope += d * asym * (abs(np.tan(da)) + abs(np.tan(db)))
+    return np.stack([w, wa * cb, wa, w * cb]), slope
+
+
+def _math_power(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent elementwise by `math.pow`, whose bits numpy's CPU dispatch does not set."""
+    return np.array([math.pow(b, exponent) for b in base.ravel().tolist()]).reshape(base.shape)
+
+
+def _curves(means, errors) -> dict:
+    """Each value of `model_curves` with its bound, from the four means and theirs."""
+    w, p, pa, pb = means
+    ew, ep, ea, eb = errors
+
+    def ratio(num, e_num):
+        r = num / w
+        return r, (e_num + abs(r) * ew) / (w - ew) + _U * abs(r) if w > ew else math.inf
+
     return {
-        "raw_expectation": product / n_points,
-        "coincidence_expectation": product / total,
-        "detection_rate": rate,
-        "postselected_marginal_a": float(np.sum(wa)) / total,
-        "postselected_marginal_b": float(np.sum(wb)) / total,
+        "raw_expectation": (p, ep),
+        "coincidence_expectation": ratio(p, ep),
+        "detection_rate": (w, ew),
+        "postselected_marginal_a": ratio(pa, ea),
+        "postselected_marginal_b": ratio(pb, eb),
     }
 
 
@@ -315,10 +439,19 @@ def quadrature_chsh(
     settings: Sequence[float] = DEFAULT_CHSH_SETTINGS,
     mode: str = "coincidence",
 ) -> float:
+    return _quadrature_chsh(model, settings, mode)[0]
+
+
+def _quadrature_chsh(model, settings, mode) -> tuple[float, float]:
+    """The quadrature CHSH combination and its bound: the sum of the four
+    terms' bounds, plus the three additions' rounding, each at most half an ulp
+    of a partial sum of magnitude at most 4."""
     if mode not in ("raw", "coincidence"):
         raise ValueError(f"mode must be 'raw' or 'coincidence', got {mode!r}")
-    pairs = _chsh_pairs(*settings)
-    return _chsh_combination(*(model_curves(model, x, y)[f"{mode}_expectation"] for x, y in pairs))
+    key = f"{mode}_expectation"
+    curves = [model_curves(model, x, y) for x, y in _chsh_pairs(*settings)]
+    s = _chsh_combination(*(c[key] for c in curves))
+    return s, math.fsum(c["bound"][key] for c in curves) + 3 * 2.0**-51
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +461,18 @@ def quadrature_chsh(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sharpness of the sweep: the coincidence CHSH by quadrature, with the
+    bound on its error, and by Monte Carlo, with its standard error (the
+    quadrature sum of the four pairs' SEs, as `chsh` gives it); `discrepancy`
+    is their absolute difference."""
+
     sharpness: float
     s_quadrature: float
     s_monte_carlo: float
     discrepancy: float
     min_coincidence_rate: float
+    s_quadrature_bound: float
+    s_monte_carlo_se: float
 
 
 @dataclass(frozen=True)
@@ -375,7 +515,7 @@ def calibration_sweep(
     """Coincidence-mode CHSH across the rejection-sharpness grid.
 
     For each grid value the CHSH combination is evaluated twice: by the
-    midpoint-rule oracle and from Monte Carlo streams of `trials_per_point`
+    tanh-sinh quadrature of `model_curves`, with its bound, and from Monte Carlo streams of `trials_per_point`
     trials per setting pair.  The oracle runs first, point by point; then
     every grid value's and pair's `run_counts` job, seeded
     (master_seed, grid index, pair index), runs on min(`SWEEP_THREADS`,
@@ -392,7 +532,7 @@ def calibration_sweep(
         raise InsufficientDataError("sharpness grid must be nonempty")
     pair_list = _chsh_pairs(*settings)
     models = [SelectiveModel(float(d), asymmetry) for d in d_grid]
-    s_quads = [quadrature_chsh(model, settings, "coincidence") for model in models]
+    s_quads = [_quadrature_chsh(model, settings, "coincidence") for model in models]
     jobs = [
         (model, SettingsSchedule("cycle", (xx,), (yy,)), trials_per_point, (master_seed, di, pi))
         for di, model in enumerate(models)
@@ -402,9 +542,10 @@ def calibration_sweep(
         counts = list(pool.map(run_counts, *zip(*jobs)))
     estimates = [_estimate(c.pairs[0], c.counts[0]) for c in counts]
     rows = []
-    for di, (model, s_quad) in enumerate(zip(models, s_quads)):
+    for di, (model, (s_quad, bound)) in enumerate(zip(models, s_quads)):
         point = estimates[di * len(pair_list) : (di + 1) * len(pair_list)]
-        s_mc = _chsh_combination(*(est.expectation("coincidence")[0] for est in point))
+        terms = [est.expectation("coincidence") for est in point]
+        s_mc = _chsh_combination(*(e for e, _ in terms))
         min_rate = min(est.n_coincidences / est.n_trials for est in point)
         rows.append(
             SweepRow(
@@ -413,6 +554,8 @@ def calibration_sweep(
                 s_monte_carlo=s_mc,
                 discrepancy=abs(s_quad - s_mc),
                 min_coincidence_rate=min_rate,
+                s_quadrature_bound=bound,
+                s_monte_carlo_se=math.sqrt(sum(se**2 for _, se in terms)),
             )
         )
     best = max(rows, key=lambda r: abs(r.s_quadrature))

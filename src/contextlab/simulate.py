@@ -40,6 +40,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -103,15 +104,17 @@ class SelectiveModel:
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be a finite number >= 0")
 
-    def survival(self, delta, cos=None, cos2=None):
-        """Detection probability at `delta`, reusing a caller's np.cos(delta) or np.cos(2 * delta)."""
+    def survival(self, delta, cos=None, cos2=None, power=operator.pow):
+        """Detection probability at `delta`, reusing a caller's np.cos(delta) or
+        np.cos(2 * delta).  `power(base, exponent)` raises the bases: `**` by
+        default, not np.power, which skips the sqrt/square fast paths."""
         delta = np.asarray(delta, dtype=float)
         if self.sharpness == 0.0:  # x ** 0.0 == 1.0 for every float, nan included
             return np.ones_like(delta)
         base = np.abs(np.cos(2.0 * delta) if cos2 is None else cos2)
         if self.asymmetry != 0.0:
-            base = base * np.abs(np.cos(delta) if cos is None else cos) ** self.asymmetry
-        return base ** self.sharpness  # not np.power, which skips the sqrt/square fast paths
+            base = base * power(np.abs(np.cos(delta) if cos is None else cos), self.asymmetry)
+        return power(base, self.sharpness)
 
     def source(self, u_src):
         return source_angles(u_src * math.pi)
@@ -328,25 +331,30 @@ def _fold(blocks) -> PairCounts:
     cells: dict[SettingPair, np.ndarray] = {}
     for xs, ys, xi, yi, a, b in blocks:
         ny = len(ys)
-        pair = xi * ny + yi
-        codes, n = np.unique(_cell_codes(pair, a, b), return_counts=True)
+        cell = _cell_codes(xi, yi, a, b, len(xs), ny)
+        codes, n = np.unique(cell, return_counts=True)
         occurring, k = np.unique(codes // 9, return_inverse=True)
         block = np.zeros((len(occurring), 9), np.int64)
         block[k, codes % 9] = n
         keys = [SettingPair(xs[p // ny], ys[p % ny]) for p in occurring.tolist()]
         if any(key not in cells for key in keys):
-            first = np.unique(pair, return_index=True)[1]
+            cell //= 9  # in place: each trial's pair code
+            first = np.unique(cell, return_index=True)[1]
             for k in np.argsort(first).tolist():
                 cells.setdefault(keys[k], np.zeros(9, np.int64))
-        for key, cell in zip(keys, block):
-            cells[key] += cell
-        del xi, yi, pair  # free this block's int64 arrays before the next block is built
+        for key, row in zip(keys, block):
+            cells[key] += row
+        del xi, yi, cell  # free this block's index arrays before the next block is built
     return PairCounts(tuple(cells), np.array([*cells.values()], dtype=np.int64).reshape(-1, 3, 3))
 
 
-def _cell_codes(pair, a, b) -> np.ndarray:
-    """Cell code (pair*3 + a+1)*3 + b+1 of each trial, pair = xi*ny + yi."""
-    return (pair * 3 + a + 1) * 3 + b + 1
+def _cell_codes(xi, yi, a, b, nx: int, ny: int) -> np.ndarray:
+    """Cell code (pair*3 + a+1)*3 + b+1 of each trial, pair = xi*ny + yi, in the
+    indices' own dtype while every code, below 9*nx*ny, fits in int32, and in
+    int64 above that."""
+    if 9 * nx * ny > np.iinfo(np.int32).max:
+        xi = xi.astype(np.int64)
+    return ((xi * ny + yi) * 3 + a + 1) * 3 + b + 1
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +388,19 @@ class SettingsSchedule:
             raise ConfigError("random schedule requires an explicit seed")
 
     def indices(self, start: int, count: int, chunk_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """int32 (xi, yi) of trials start to start + count - 1.  A random draw
+        in int32 gives the values of numpy's default int64 draw.  A cycle's are
+        read-only: broadcasts of its setting ranges, flattened, which copy at
+        most count + nx + ny entries (none for a single setting pair)."""
         nx, ny = len(self.x_settings), len(self.y_settings)
         if self.mode == "random":
             rng = substream(self.seed, chunk_index, STREAM_SETTINGS)
-            return rng.integers(0, nx, size=count), rng.integers(0, ny, size=count)
-        period = np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx)  # x-major (xi, yi)
-        offset = start % (nx * ny)
-        reps = (offset + count - 1) // (nx * ny) + 1
-        return tuple(np.tile(column, reps)[offset : offset + count] for column in period)
+            return tuple(rng.integers(0, n, size=count, dtype=np.int32) for n in (nx, ny))
+        # x-major: trial k has yi = k % ny and xi = (k // ny) % nx, each x index held ny times
+        skip = start % ny
+        runs = _cyclic(nx, start // ny, (skip + count - 1) // ny + 1)
+        held = np.broadcast_to(runs[:, None], (len(runs), ny)).reshape(-1)
+        return held[skip : skip + count], _cyclic(ny, start, count)
 
     def descriptor(self) -> dict:
         return {
@@ -396,6 +409,13 @@ class SettingsSchedule:
             "y_settings": list(self.y_settings),
             "seed": self.seed,
         }
+
+
+def _cyclic(n: int, first: int, count: int) -> np.ndarray:
+    """int32 k % n for k = first, ..., first + count - 1."""
+    skip = first % n
+    period = np.arange(n, dtype=np.int32)
+    return np.broadcast_to(period, ((skip + count - 1) // n + 1, n)).reshape(-1)[skip : skip + count]
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +679,8 @@ def _write_stream(path, x_settings, y_settings, blocks, metadata) -> None:
         x, y = x_settings[c // 9 // ny], y_settings[c // 9 % ny]
         return f",{x!r},{y!r},{c // 3 % 3 - 1},{c % 3 - 1}\r\n"
 
-    coded = ((trial, _cell_codes(xi * ny + yi, a, b)) for trial, xi, yi, a, b in blocks)
+    nx = len(x_settings)
+    coded = ((trial, _cell_codes(xi, yi, a, b, nx, ny)) for trial, xi, yi, a, b in blocks)
     write_rows(path, CSV_HEADER, coded, tail, metadata)
 
 

@@ -4,8 +4,11 @@ import threading
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contextlab import analysis
 from contextlab.analysis import (
@@ -318,33 +321,54 @@ def test_substream_entropy_is_zero_padded_to_four_words():
     assert np.array_equal(substream((5, 0), 0, 0).random(3), expected)
 
 
-def untiled_curves(model, x, y, n_points):
-    """`model_curves` as one whole-length pass, the reference its tiles must equal."""
-    phi = (np.arange(n_points) + 0.5) * (math.pi / n_points)
-    da = phi - x
-    db = phi + math.pi / 2 - y
-    ca = np.cos(2.0 * da)
-    cb = np.cos(2.0 * db)
-    w = model.survival(da, cos2=ca) * model.survival(db, cos2=cb)
-    total = float(np.sum(w))
-    if total <= 0.0:
-        raise InsufficientDataError("joint detection rate vanishes")
-    product = float(np.sum(w * ca * cb))
+def untiled_curves(model, x, y, nodes, tile=None):
+    """The values of `model_curves`' tanh-sinh rule at `nodes` per panel, formed
+    one panel at a time and `tile` nodes at a time (all of them by default).
+
+    `model_curves` forms every panel's nodes in one array.  Its sums are
+    `math.fsum`s, correctly rounded whatever the order of their terms, so the
+    two must agree bit for bit when numpy's elementwise results do not depend
+    on the layout of the arrays they come from."""
+    q = PI / 4
+    ends = sorted({s % q + k * q for s in (x, y) for k in range(4)})
+    h = 2 * analysis._DE_SPAN / nodes
+    tile = tile or nodes
+    terms = [[], [], [], []]
+    for a, b in zip(ends, ends[1:] + [ends[0] + PI]):
+        m = (b - a) / 2
+        for start in range(0, nodes, tile):
+            t = [(k - (nodes - 1) / 2) * h for k in range(start, min(start + tile, nodes))]
+            u = [(PI / 2) * math.sinh(tk) for tk in t]
+            gap = np.array([2 / (math.exp(2 * abs(uk)) + 1) for uk in u])
+            weight = m * np.array([(h / 2) * math.cosh(tk) / math.cosh(uk) ** 2 for tk, uk in zip(t, u)])
+            phi = np.where(np.array(t) < 0, a + m * gap, b - m * gap)
+            da, db = phi - x, phi + PI / 2 - y
+            ca, cb = np.cos(2.0 * da), np.cos(2.0 * db)
+            power = analysis._math_power
+            w = model.survival(da, cos2=ca, power=power) * model.survival(db, cos2=cb, power=power)
+            for k, f in enumerate((w, w * ca * cb, w * ca, w * cb)):
+                terms[k] += (f * weight).tolist()
+    w, p, pa, pb = (math.fsum(v) for v in terms)
     return {
-        "raw_expectation": product / n_points,
-        "coincidence_expectation": product / total,
-        "detection_rate": total / n_points,
-        "postselected_marginal_a": float(np.sum(w * ca)) / total,
-        "postselected_marginal_b": float(np.sum(w * cb)) / total,
+        "raw_expectation": p,
+        "coincidence_expectation": p / w,
+        "detection_rate": w,
+        "postselected_marginal_a": pa / w,
+        "postselected_marginal_b": pb / w,
     }
 
 
-def curve_bits(curves, model, x, y, n_points):
-    """Each value's float.hex, or the error's type, so equality means the same bits."""
+def curve_bits(model, x, y, n_points, tile=None):
+    """(model_curves' values, the untiled reference's at the nodes it ended
+    with), each value as float.hex so equality means the same bits; or the
+    error's type for both."""
     try:
-        return {k: float(v).hex() for k, v in curves(model, x, y, n_points).items()}
+        curves = model_curves(model, x, y, n_points)
     except InsufficientDataError as exc:
-        return type(exc)
+        return type(exc), type(exc)
+    want = untiled_curves(model, x, y, curves["nodes"], tile)
+    return ({k: float(v).hex() for k, v in want.items()},
+            {k: float(curves[k]).hex() for k in want})
 
 
 CURVE_PAIRS = ((A, B), (A, BP), (AP, B), (AP, BP))
@@ -353,40 +377,47 @@ CURVE_MODELS = [MalusModel()] + [
 ]
 
 
-# 8191-8193 and 16387 straddled the tiles when TILE was 8192; they stay as a
-# short single tile and a tile plus 3 points
+# The first rule's nodes per panel.  These sizes straddled the tiles of the
+# midpoint rule this quadrature replaced (TILE 8,192, then 16,384); they stay
+# as rules of one node per panel (refined to 64), of a few, and of thousands,
+# odd and even, where every node of the first rule is the last one's.
 @pytest.mark.parametrize(
-    "n_points",
-    sorted({1, 7, 8191, 8192, 8193, 16387}
-           | {analysis.TILE - 1, analysis.TILE, analysis.TILE + 1, 2 * analysis.TILE + 3}),
+    "n_points", [1, 7, 8191, 8192, 8193, 16383, 16384, 16385, 16387, 32771]
 )
 def test_model_curves_equal_the_untiled_reference_bit_for_bit(n_points):
-    for model in CURVE_MODELS:
-        for x, y in CURVE_PAIRS:
-            want = curve_bits(untiled_curves, model, x, y, n_points)
-            assert curve_bits(model_curves, model, x, y, n_points) == want, (model, x, y)
+    if n_points < 100:
+        cases = [(model, x, y) for model in CURVE_MODELS for x, y in CURVE_PAIRS]
+    else:  # thousands of nodes per panel: a few models, each at a different pair
+        cases = [(MalusModel(), A, B), (SelectiveModel(3.0, 0.25), AP, BP),
+                 (SelectiveModel(8.0, 1.0), A, BP)]
+    for model, x, y in cases:
+        want, got = curve_bits(model, x, y, n_points)
+        assert got == want, (model, x, y)
 
 
 def test_model_curves_at_the_default_grid_equal_the_untiled_reference():
     for model in (MalusModel(), SelectiveModel(3.0, 0.25)):
         for x, y in CURVE_PAIRS:
-            want = curve_bits(untiled_curves, model, x, y, 200_001)
-            assert curve_bits(model_curves, model, x, y, 200_001) == want, (model, x, y)
+            curves = model_curves(model, x, y)
+            assert curves["nodes"] == 107
+            want, got = curve_bits(model, x, y, 107)
+            assert got == want, (model, x, y)
 
 
 @pytest.mark.parametrize("tile", [1, 3, 7])
-def test_model_curves_do_not_depend_on_the_tile_size(monkeypatch, tile):
-    monkeypatch.setattr(analysis, "TILE", tile)
+def test_model_curves_do_not_depend_on_the_tile_size(tile):
+    # the reference forms each panel's nodes `tile` at a time
     for model in (MalusModel(), SelectiveModel(1.5, 0.25), SelectiveModel(3.0, 1.0)):
         for x, y in CURVE_PAIRS:
-            for n_points in (1, 2, 3, 6, 7, 8, 22):
-                want = curve_bits(untiled_curves, model, x, y, n_points)
-                assert curve_bits(model_curves, model, x, y, n_points) == want, (model, n_points)
+            for n_points in (1, 2, 3, 6, 7, 22):
+                want, got = curve_bits(model, x, y, n_points, tile)
+                assert got == want, (model, n_points)
 
 
 def test_quadrature_memory_stays_at_its_four_sums():
-    # nine whole-grid float temporaries of 200,001 points put this peak at about
-    # 13.7 MiB; tiles leave the four summed arrays, 6.1 MiB, and one tile's work
+    # the midpoint rule this quadrature replaced held four 200,001-point
+    # arrays, 6.1 MiB, at this peak; the default rule's arrays hold 8 panels
+    # of 109 nodes, and its sums' lists as many Python floats
     model = SelectiveModel(3.0, 0.25)
     quadrature_chsh(model)
     tracemalloc.start()
@@ -395,7 +426,123 @@ def test_quadrature_memory_stays_at_its_four_sums():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 2**20, peak
+    assert peak < 2**18, peak
+
+
+def test_model_curves_refuses_an_empty_rule():
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        model_curves(MalusModel(), A, B, 0)
+
+
+def midpoint_curves(model, x, y, n):
+    """The midpoint rule of n points over one period of phi, summed with fsum."""
+    phi = (np.arange(n) + 0.5) * (PI / n)
+    da, db = phi - x, phi + PI / 2 - y
+    ca, cb = np.cos(2.0 * da), np.cos(2.0 * db)
+    w = model.survival(da, cos2=ca) * model.survival(db, cos2=cb)
+    total, p, pa, pb = (math.fsum(v.tolist()) for v in (w, w * ca * cb, w * ca, w * cb))
+    return {
+        "raw_expectation": p / n,
+        "coincidence_expectation": p / total,
+        "detection_rate": total / n,
+        "postselected_marginal_a": pa / total,
+        "postselected_marginal_b": pb / total,
+    }
+
+
+@st.composite
+def curve_cases(draw):
+    """(model, x, y, reference, reference error) with a reference that holds.
+
+    Sharpness 0 has a closed form: every trial clicks, E = -cos 2(x - y) / 2 and
+    the marginals vanish.  Otherwise the reference is the midpoint rule at
+    3**9 points, its error taken as its change from 3**8, where the integrand is
+    smooth enough for that to fall below the tolerance: even d at asymmetry 0
+    (a trigonometric polynomial, which the periodic midpoint rule sums exactly),
+    or every kink |t|^p with p >= 3 (d >= 3, and d * asymmetry >= 3 or
+    asymmetry 0), where its error falls like n**-(p + 1)."""
+    x, y = (draw(st.floats(-PI, PI)) for _ in range(2))
+    kind = draw(st.sampled_from(["d0", "even", "smooth"]))
+    if kind == "d0":
+        model = SelectiveModel(0.0, draw(st.floats(0.0, 2.0)))
+        e = -math.cos(2 * (x - y)) / 2
+        reference = {"raw_expectation": e, "coincidence_expectation": e, "detection_rate": 1.0,
+                     "postselected_marginal_a": 0.0, "postselected_marginal_b": 0.0}
+        return model, x, y, reference, dict.fromkeys(reference, 2**-50)
+    if kind == "even":
+        model = SelectiveModel(2.0 * draw(st.integers(1, 32)), 0.0)
+    else:
+        d = draw(st.floats(3.0, 64.0))
+        model = SelectiveModel(d, draw(st.just(0.0) | st.floats(3.0 / d, 2.0)))
+    fine, coarse = (midpoint_curves(model, x, y, 3**k) for k in (9, 8))
+    return model, x, y, fine, {k: abs(fine[k] - coarse[k]) for k in fine}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=curve_cases())
+def test_every_quadrature_value_is_within_its_bound_of_a_reference(case):
+    model, x, y, reference, reference_error = case
+    assume(max(reference_error.values()) <= analysis.QUADRATURE_TOLERANCE)
+    curves = model_curves(model, x, y)
+    for key, want in reference.items():
+        bound = curves["bound"][key]
+        assert abs(curves[key] - want) <= bound + reference_error[key], (key, bound)
+
+
+# small sharpnesses whose kinks the midpoint rule converges on too slowly to
+# serve as a reference; mpmath's own tanh-sinh, at 25 digits, on the same panels
+MPMATH_CASES = [(0.5, 0.25, 0.0, PI / 8), (1.5, 0.25, PI / 4, 3 * PI / 8),
+                (2.7, 1.3, -0.4, 2.0), (0.3, 0.7, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("d, asymmetry, x, y", MPMATH_CASES)
+def test_small_sharpness_values_are_within_their_bound_of_mpmath(d, asymmetry, x, y):
+    mp = mpmath.mp
+
+    def survival(delta):
+        return (abs(mp.cos(2 * delta)) * abs(mp.cos(delta)) ** asymmetry) ** d
+
+    def integrand(k):
+        def f(phi):
+            da, db = phi - x, phi + mp.pi / 2 - y
+            w = survival(da) * survival(db)
+            return (w, w * mp.cos(2 * da) * mp.cos(2 * db), w * mp.cos(2 * da),
+                    w * mp.cos(2 * db))[k]
+        return f
+
+    with mpmath.workdps(25):
+        q = mp.pi / 4
+        ends = sorted({mp.fmod(mp.mpf(s), q) % q + k * q for s in (x, y) for k in range(4)})
+        w, p, pa, pb = (mp.quad(integrand(k), ends + [ends[0] + mp.pi]) / mp.pi for k in range(4))
+        reference = {"raw_expectation": p, "coincidence_expectation": p / w, "detection_rate": w,
+                     "postselected_marginal_a": pa / w, "postselected_marginal_b": pb / w}
+        curves = model_curves(SelectiveModel(d, asymmetry), x, y)
+        for key, want in reference.items():
+            assert abs(curves[key] - want) <= curves["bound"][key], key
+
+
+def test_the_sweep_grid_takes_the_first_rule_and_a_sharp_model_refines(monkeypatch):
+    evaluations = []
+
+    def counting(model, x, y, phi):
+        evaluations.append(phi.size)
+        return integrands(model, x, y, phi)
+
+    integrands = analysis._integrands
+    monkeypatch.setattr(analysis, "_integrands", counting)
+    for d in analysis.DEFAULT_SWEEP_GRID:
+        for asymmetry in (0.0, 0.25):
+            for x, y in CURVE_PAIRS:
+                evaluations.clear()
+                assert model_curves(SelectiveModel(d, asymmetry), x, y)["nodes"] == 107
+                assert evaluations == [8 * 109]
+    # the quadrature the sweep compares against at d 200 needs two halvings
+    model = SelectiveModel(200.0, 0.25)
+    curves = model_curves(model, A, B)
+    assert curves["nodes"] == 4 * 107
+    want = midpoint_curves(model, A, B, 3**9)
+    for key, bound in curves["bound"].items():
+        assert abs(curves[key] - want[key]) <= bound, key
 
 
 def test_sweep_reports_both_routes_and_monotone_optimum():
@@ -413,6 +560,20 @@ def test_sweep_reports_both_routes_and_monotone_optimum():
     assert result.best.sharpness == 2.0
     for row in result.rows:
         assert row.discrepancy == abs(row.s_quadrature - row.s_monte_carlo)
+
+
+def test_sweep_rows_state_the_quadrature_bound_and_the_monte_carlo_se():
+    result = small_sweep("asymmetry0.25")
+    for di, row in enumerate(result.rows):
+        model = SelectiveModel(row.sharpness, 0.25)
+        bounds = [model_curves(model, x, y)["bound"]["coincidence_expectation"] for x, y in CURVE_PAIRS]
+        assert row.s_quadrature_bound == math.fsum(bounds) + 3 * 2.0**-51 < 1e-11
+        estimates = {}
+        for pi, (x, y) in enumerate(CURVE_PAIRS):
+            schedule = SettingsSchedule("cycle", (x,), (y,))
+            estimates.update(estimate_correlations(run_counts(model, schedule, 3000, (7, di, pi))))
+        expected = chsh(estimates, A, AP, B, BP, mode="coincidence")
+        assert (row.s_monte_carlo, row.s_monte_carlo_se) == (expected.s_value, expected.se)
 
 
 def test_sweep_rejects_empty_grid():

@@ -539,8 +539,11 @@ def test_effective_config_bytes_are_pinned(tmp_path, monkeypatch):
         "bound.json.config.json": (
             "f422d062e852677c477815dc03e6f30fd41cbae90682a083fb66cda51e1b90dd"
         ),
+        # re-recorded when the tanh-sinh rule replaced the midpoint rule: the
+        # last bit of malus_raw_chsh (now sqrt 2 correctly rounded) and
+        # sweep_best.s_quadrature (by 5.3e-11) moved; no other byte did
         "demo/demo_report.json": (
-            "1e897c3203a36614ab3e447167c07e6217e38e46bf8498751470da14ee6d8005"
+            "4cba0687ba8d5338d940d9a482817df1afafcb0f7317b4e3f10001c06ad80549"
         ),
         "demo/demo_report.json.config.json": (
             "ebedbc76056b4bebe2c70b958b0bf656624d0c579dfe3ea262d9ce44c2498ef9"
@@ -680,12 +683,16 @@ def test_a_sweep_whose_every_job_fails_is_a_data_error(tmp_path, capsys):
 
 def test_sweep_report_bytes_are_pinned(tmp_path):
     # recorded when each sweep point still built a full stream, so it checks
-    # that folding counts chunk by chunk changes no byte of the report
+    # that folding counts chunk by chunk changes no byte of the report.
+    # Re-recorded when the tanh-sinh rule replaced the midpoint rule: each row
+    # gained s_quadrature_bound and s_monte_carlo_se, and s_quadrature and
+    # discrepancy moved by -2.2e-16, -9.4e-9 and 5.3e-11 at d 0, 1.5 and 3;
+    # the Monte Carlo fields and best_sharpness kept every byte
     report = tmp_path / "sweep.json"
     argv = ["sweep", "--d-grid", "0,1.5,3", "--asymmetry", "0.25", "--trials-per-point", "20000"]
     assert run(argv + ["--master-seed", "7", "--report", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "d41d346f04669921a61f24823d49151b3eaff9db6f29d01a246caab02347f91b"
+        "0f873ae29df1310e9710639c631a48c1d82e6581dcc6058402373c8d2747d7f4"
     )
 
 

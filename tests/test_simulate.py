@@ -17,7 +17,7 @@ from contextlab.models import (
     random_model,
     shared_space_model,
 )
-from contextlab.seeding import substream
+from contextlab.seeding import STREAM_SETTINGS, substream
 from contextlab.simulate import (
     MalusModel,
     SelectiveModel,
@@ -161,8 +161,60 @@ def test_cycle_indices_equal_the_modulo_form(nx, ny, start, count):
     schedule = SettingsSchedule("cycle", tuple(map(float, range(nx))), tuple(map(float, range(ny))))
     pair = np.arange(start, start + count) % (nx * ny)
     for got, want in zip(schedule.indices(start, count, 0), (pair // ny, pair % ny)):
-        assert got.dtype == want.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32),
+    nx=st.integers(1, 70_000),
+    ny=st.integers(1, 70_000),
+    count=st.integers(1, 3000),
+)
+def test_random_indices_are_numpys_default_int64_draw(seed, nx, ny, count):
+    # the stream pins were recorded with int64 draws; int32 ones give the same values
+    schedule = SettingsSchedule("random", tuple(map(float, range(nx))), tuple(map(float, range(ny))), seed)
+    rng = substream(seed, 3, STREAM_SETTINGS)
+    want = rng.integers(0, nx, size=count), rng.integers(0, ny, size=count)
+    for got, values in zip(schedule.indices(0, count, 3), want):
+        assert got.dtype == np.int32
+        assert np.array_equal(got, values)
+
+
+def test_cycle_indices_cost_memory_in_the_trial_count_not_the_settings():
+    # building the whole x-major period for every chunk peaked at 72.0 MB for
+    # these 1,000 trials at 1,500 x 1,500 settings, and four times that here;
+    # only the trials' own entries are built now, about 25 kB here
+    settings_ = tuple(k / 1000 for k in range(3000))
+    schedule = SettingsSchedule("cycle", settings_, settings_)
+    schedule.indices(0, 10, 0)
+    tracemalloc.start()
+    try:
+        xi, yi = schedule.indices(4_500_123, 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pair = np.arange(4_500_123, 4_501_123) % 9_000_000
+    assert np.array_equal(xi, pair // 3000) and np.array_equal(yi, pair % 3000)
+    assert peak < 2**20, peak
+
+
+def test_cell_codes_widen_to_int64_where_int32_would_overflow():
+    # 9 * 16,000 * 15,000 cell codes pass 2**31: int32 codes would wrap around
+    # and merge cells, while the file-block fold indexes in numpy's intp
+    schedule = SettingsSchedule(
+        "random", tuple(k / 1e4 for k in range(16_000)), tuple(k / 1e4 for k in range(15_000)), 5
+    )
+    model = SelectiveModel(1.5, 0.25)
+    got = run_counts(model, schedule, 3000, 2, chunk_size=1024)
+    want = PairCounts.from_stream(run_experiment(model, schedule, 3000, 2, chunk_size=1024))
+    assert got.pairs == want.pairs and np.array_equal(got.counts, want.counts)
+    assert got.counts.sum() == 3000 and len(got.pairs) > 2900
+    xi, yi = schedule.indices(0, 3000, 0)
+    a = b = np.zeros(3000, np.int8)
+    assert simulate._cell_codes(xi, yi, a, b, 16_000, 15_000).dtype == np.int64
+    assert simulate._cell_codes(xi, yi, a, b, 16_000, 14_913).dtype == np.int32  # 9 nx ny < 2**31
 
 
 def test_schedule_validation():
