@@ -150,18 +150,20 @@ def chsh(
     b_prime: float,
     mode: str = "raw",
 ) -> ChshResult:
-    values, variances = [], []
-    for pair in (SettingPair(x, y) for x, y in _chsh_pairs(a, a_prime, b, b_prime)):
+    pairs = [SettingPair(x, y) for x, y in _chsh_pairs(a, a_prime, b, b_prime)]
+    terms = {}
+    for pair in pairs:
         if pair not in estimates:
             raise IncompleteDesignError(f"setting pair {pair} missing from the stream")
-        e, se = estimates[pair].expectation(mode)
-        values.append(e)
-        variances.append(se**2)
+        terms[pair] = estimates[pair].expectation(mode)
+    values = [terms[pair][0] for pair in pairs]
+    # two terms naming one pair (a = a' or b = b') are one estimate, weighted by their signs' sum
+    weights = (_chsh_combination(*(q == pair for q in pairs)) for pair in terms)
     return ChshResult(
         settings=(a, a_prime, b, b_prime),
         mode=mode,
         s_value=float(_chsh_combination(*values)),
-        se=float(math.sqrt(sum(variances))),
+        se=float(math.sqrt(sum((w * se) ** 2 for w, (_, se) in zip(weights, terms.values())))),
         terms=tuple(values),
     )
 
@@ -324,7 +326,11 @@ def model_curves(model, x: float, y: float, n_points: int = 107) -> dict:
       squares the error, so the error of Q_h is far below that of Q_2h and
       |Q_h - Q_2h| bounds it.  It cannot see a feature that neither density
       resolves; the panels put the kinks and the peaks of a wing at nodes'
-      clusters, and the test property checks the bound against references;
+      clusters, and the test property checks the bound against references.
+      A refined rule (n even) adds |Q_h - Q_prev|, its change from the rule it
+      refines: its every-other-node half sits a quarter step off the nodes'
+      symmetry about the panel's centre, so its leading error cancels for an
+      integrand symmetric there, such as a peak of the product of both wings;
     - truncation: the nodes stop at |t| = (n-1)/2 h, 3e-22 of the half-width
       from the ends at the default rule.  The trapezoidal terms left out sum to
       at most the integral over that last sliver, at most its width times the
@@ -350,9 +356,13 @@ def model_curves(model, x: float, y: float, n_points: int = 107) -> dict:
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
+    previous = None
     for halving in range(_DE_HALVINGS + 1):
         nodes = n_points << halving
         means, refinable, rounding = _de_rule(model, x, y, nodes)
+        if previous:
+            refinable = [e + abs(m - p) for e, m, p in zip(refinable, means, previous)]
+        previous = means
         if means[0] <= 0.0:
             raise InsufficientDataError("joint detection rate vanishes")
         if max(bound for _, bound in _curves(means, refinable).values()) <= QUADRATURE_TOLERANCE:
@@ -462,9 +472,8 @@ def _quadrature_chsh(model, settings, mode) -> tuple[float, float]:
 @dataclass(frozen=True)
 class SweepRow:
     """One sharpness of the sweep: the coincidence CHSH by quadrature, with the
-    bound on its error, and by Monte Carlo, with its standard error (the
-    quadrature sum of the four pairs' SEs, as `chsh` gives it); `discrepancy`
-    is their absolute difference."""
+    bound on its error, and by Monte Carlo, with its standard error, both as
+    `chsh` gives them; `discrepancy` is their absolute difference."""
 
     sharpness: float
     s_quadrature: float
@@ -515,47 +524,48 @@ def calibration_sweep(
     """Coincidence-mode CHSH across the rejection-sharpness grid.
 
     For each grid value the CHSH combination is evaluated twice: by the
-    tanh-sinh quadrature of `model_curves`, with its bound, and from Monte Carlo streams of `trials_per_point`
-    trials per setting pair.  The oracle runs first, point by point; then
-    every grid value's and pair's `run_counts` job, seeded
-    (master_seed, grid index, pair index), runs on min(`SWEEP_THREADS`,
-    usable CPUs) threads and is read back in job order, so no result depends
-    on the thread that ran it.  The first failed job in job order raises its
-    own exception; the jobs not yet started are cancelled when the read
-    reaches it, not when it fails, and the threads are joined first.  The
-    returned best row maximizes the oracle |S| (deterministic in the grid;
-    ties keep the first).
+    tanh-sinh quadrature of `model_curves`, with its bound, and by `chsh` of
+    Monte Carlo streams of `trials_per_point` trials per setting pair.  The
+    oracle runs first, point by point; then one `run_counts` job per grid value
+    and distinct pair, at the first CHSH term naming it and seeded (master_seed,
+    grid index, term index), runs on min(`SWEEP_THREADS`, usable CPUs) threads
+    and is read back in job order, so no result depends on the thread that ran
+    it.  The first failed job in job order raises its own exception; the jobs
+    not yet started are cancelled when the read reaches it, not when it fails,
+    and the threads are joined first.  The returned best row maximizes the
+    oracle |S| (deterministic in the grid; ties keep the first).
     """
     from concurrent.futures import ThreadPoolExecutor
 
     if not d_grid:
         raise InsufficientDataError("sharpness grid must be nonempty")
-    pair_list = _chsh_pairs(*settings)
+    raw = _chsh_pairs(*settings)
+    pairs = [SettingPair(x, y) for x, y in raw]
+    firsts = [pi for pi, pair in enumerate(pairs) if pair not in pairs[:pi]]
     models = [SelectiveModel(float(d), asymmetry) for d in d_grid]
     s_quads = [_quadrature_chsh(model, settings, "coincidence") for model in models]
     jobs = [
-        (model, SettingsSchedule("cycle", (xx,), (yy,)), trials_per_point, (master_seed, di, pi))
+        (model, SettingsSchedule("cycle", (x,), (y,)), trials_per_point, (master_seed, di, pi))
         for di, model in enumerate(models)
-        for pi, (xx, yy) in enumerate(pair_list)
+        for pi, (x, y) in enumerate(raw)
+        if pi in firsts
     ]
     with ThreadPoolExecutor(min(SWEEP_THREADS, _usable_cpus())) as pool:
         counts = list(pool.map(run_counts, *zip(*jobs)))
     estimates = [_estimate(c.pairs[0], c.counts[0]) for c in counts]
     rows = []
     for di, (model, (s_quad, bound)) in enumerate(zip(models, s_quads)):
-        point = estimates[di * len(pair_list) : (di + 1) * len(pair_list)]
-        terms = [est.expectation("coincidence") for est in point]
-        s_mc = _chsh_combination(*(e for e, _ in terms))
-        min_rate = min(est.n_coincidences / est.n_trials for est in point)
+        point = estimates[di * len(firsts) : (di + 1) * len(firsts)]
+        mc = chsh({est.pair: est for est in point}, *settings, mode="coincidence")
         rows.append(
             SweepRow(
                 sharpness=model.sharpness,
                 s_quadrature=s_quad,
-                s_monte_carlo=s_mc,
-                discrepancy=abs(s_quad - s_mc),
-                min_coincidence_rate=min_rate,
+                s_monte_carlo=mc.s_value,
+                discrepancy=abs(s_quad - mc.s_value),
+                min_coincidence_rate=min(est.n_coincidences / est.n_trials for est in point),
                 s_quadrature_bound=bound,
-                s_monte_carlo_se=math.sqrt(sum(se**2 for _, se in terms)),
+                s_monte_carlo_se=mc.se,
             )
         )
     best = max(rows, key=lambda r: abs(r.s_quadrature))

@@ -5,8 +5,9 @@ over a JSON config file via --config; flags win).  The merged effective
 config is written beside the outputs, and feeding that file back through
 --config reproduces the artifacts byte for byte.  No seed ever defaults to
 wall-clock time.  Exit codes: 0 success, 1 usage error, 2 data or model
-validation error.  The CONTEXTLAB_OUTDIR environment variable supplies the
-default directory for relative output paths.
+validation error, which only `run_command` sets; a failing command raises.
+Each command resolves each output path once, by `out_path`, under the
+CONTEXTLAB_OUTDIR environment variable when the path is relative.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ class Field:
 class Command:
     help: str
     fields: dict[str, Field]
-    run: Callable[[dict, dict], int]  # (parsed values, config as given) -> exit status
+    run: Callable[[dict, dict], None]  # (parsed values, config as given); a failure raises
 
 
 def out_path(name: str | Path) -> Path:
@@ -245,8 +246,8 @@ def write_report(doc: dict, path: Path, config: dict, sort_keys: bool = True) ->
     return path
 
 
-def emit_plot_data(series, path) -> Path:
-    """Write a (header, rows) pair as labeled whitespace-separated columns.
+def emit_plot_data(series, path: Path) -> Path:
+    """Write a (header, rows) pair to `path` as labeled whitespace-separated columns.
 
     Any plotter can read them; a missing value (None) is written as nan.
     """
@@ -254,12 +255,11 @@ def emit_plot_data(series, path) -> Path:
         return "nan" if v is None else repr(v) if isinstance(v, float) else str(v)
 
     header, rows = series
-    p = out_path(path)
-    with p.open("w") as fh:
+    with path.open("w") as fh:
         fh.write("# " + " ".join(str(h) for h in header) + "\n")
         for row in rows:
             fh.write(" ".join(cell(v) for v in row) + "\n")
-    return p
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def emit_plot_data(series, path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bell_run(v: dict, config: dict) -> int:
+def cmd_bell_run(v: dict, config: dict) -> None:
     if v["model"] == "malus":
         model = MalusModel()
     elif v["model"] == "selective":
@@ -284,10 +284,9 @@ def cmd_bell_run(v: dict, config: dict) -> int:
     write_run_csv(target, model, schedule, n, seed, chunk_size)
     print(f"wrote {n} trials to {target}")
     print(f"effective config: {write_effective_config(config, target)}")
-    return 0
 
 
-def cmd_bell_analyze(v: dict, config: dict) -> int:
+def cmd_bell_analyze(v: dict, config: dict) -> None:
     folded = PairCounts.from_blocks(read_stream_blocks(v["stream"]))
     estimates = estimate_correlations(folded)
 
@@ -337,11 +336,10 @@ def cmd_bell_analyze(v: dict, config: dict) -> int:
         print(f"report: {write_report(doc, out_path(v['report']), config)}")
     if v["plot-data"]:
         header = ("x_rad", "y_rad", "theta", "raw_e", "raw_se", "coinc_e", "coinc_se")
-        print(f"plot data: {emit_plot_data((header, rows), v['plot-data'])}")
-    return 0
+        print(f"plot data: {emit_plot_data((header, rows), out_path(v['plot-data']))}")
 
 
-def cmd_lhv_bound(v: dict, config: dict) -> int:
+def cmd_lhv_bound(v: dict, config: dict) -> None:
     result = lhv_bound_enumeration()
     print(" A(a) A(a') B(b) B(b')     S")
     for aa, ap, bb, bp, s in result.vertices:
@@ -352,10 +350,9 @@ def cmd_lhv_bound(v: dict, config: dict) -> int:
         doc = asdict(result)
         # the keys stay in field order, as this report has always been written
         print(f"report: {write_report(doc, out_path(v['report']), config, sort_keys=False)}")
-    return 0
 
 
-def cmd_sweep(v: dict, config: dict) -> int:
+def cmd_sweep(v: dict, config: dict) -> None:
     result = calibration_sweep(
         v["d-grid"], v["settings"], v["trials-per-point"], v["master-seed"], v["asymmetry"]
     )
@@ -376,11 +373,10 @@ def cmd_sweep(v: dict, config: dict) -> int:
         doc["best_sharpness"] = doc.pop("best")["sharpness"]
         print(f"report: {write_report(doc, out_path(v['report']), config)}")
     if v["plot-data"]:
-        print(f"plot data: {emit_plot_data(result.series(), v['plot-data'])}")
-    return 0
+        print(f"plot data: {emit_plot_data(result.series(), out_path(v['plot-data']))}")
 
 
-def cmd_coins_run(v: dict, config: dict) -> int:
+def cmd_coins_run(v: dict, config: dict) -> None:
     kind, n, seed = v["experiment"], v["n"], v["seed"]
     summary: dict = {"experiment": kind, "seed": seed}
     if kind == "e1":
@@ -431,7 +427,6 @@ def cmd_coins_run(v: dict, config: dict) -> int:
         target.write_text(json.dumps(summary, indent=1, sort_keys=True))
         print(f"wrote hole-protocol summary to {target}")
     print(f"effective config: {write_effective_config(config, target)}")
-    return 0
 
 
 # stream-test's battery: test name -> report on a stream under the parsed values
@@ -444,7 +439,7 @@ TESTS = {
 }
 
 
-def cmd_stream_test(v: dict, config: dict) -> int:
+def cmd_stream_test(v: dict, config: dict) -> None:
     doc: dict = {}
     if v["kind"] == "coins":
         faces = read_coin_csv(v["stream"])
@@ -474,10 +469,9 @@ def cmd_stream_test(v: dict, config: dict) -> int:
     if v["report"]:
         doc["tests"] = [t.to_dict() for t in reports]
         print(f"report: {write_report(doc, out_path(v['report']), config)}")
-    return 0
 
 
-def cmd_demo(v: dict, config: dict) -> int:
+def cmd_demo(v: dict, config: dict) -> None:
     quick, seed = v["quick"], v["seed"]
     n = 100000 if quick else v["trials"]
     out_dir = out_path(Path(v["out-dir"]) / "x").parent
@@ -583,7 +577,6 @@ def cmd_demo(v: dict, config: dict) -> int:
     doc["breakdown_flag_rate"] = breakdown.homogeneity_rejection_rate
 
     print(f"combined report: {write_report(doc, out_dir / 'demo_report.json', config)}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +672,8 @@ def build_parser() -> _Parser:
 
 def execute(name: str, args: argparse.Namespace) -> int:
     config, values = merge_config(name, args)
-    return TABLE[name].run(values, config)
+    TABLE[name].run(values, config)
+    return 0
 
 
 COMMANDS = {name: partial(execute, name) for name in TABLE}

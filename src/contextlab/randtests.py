@@ -210,6 +210,13 @@ def two_proportion_test(
     )
 
 
+def _degenerate(name: str, statistic: float, n: int, alpha: float, **details) -> TestReport:
+    """The report on a single-symbol stream, which is no random sample of two
+    symbols: rejected outright with an exact p-value of 0."""
+    details["degenerate"] = True
+    return TestReport(name, statistic, "degenerate-exact", 0.0, alpha, n, details)
+
+
 # ---------------------------------------------------------------------------
 # Runs test
 # ---------------------------------------------------------------------------
@@ -247,18 +254,15 @@ def runs_test(stream, alpha: float = 0.01) -> TestReport:
     n2 = n - n1
     runs = int(np.count_nonzero(np.diff(bits))) + 1
     if n1 == 0 or n2 == 0:
-        statistic, null_ref, p = float(runs), "degenerate-exact", 0.0
-        details = {"runs": runs, "n1": n1, "n2": n2, "degenerate": True}
+        return _degenerate("runs", float(runs), n, alpha, runs=runs, n1=n1, n2=n2)
+    expected = 1.0 + 2.0 * n1 * n2 / n
+    if n < RUNS_NORMAL_CUTOFF:
+        statistic, null_ref = float(runs), "exact-combinatorial"
+        p = _exact_runs_p_value(n1, n2, runs)
     else:
-        expected = 1.0 + 2.0 * n1 * n2 / n
-        if n < RUNS_NORMAL_CUTOFF:
-            statistic, null_ref = float(runs), "exact-combinatorial"
-            p = _exact_runs_p_value(n1, n2, runs)
-        else:
-            variance = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
-            statistic = float((runs - expected) / math.sqrt(variance))
-            null_ref, p = "normal(0,1)", float(erfc(abs(statistic) / math.sqrt(2)))
-        details = {"runs": runs, "expected": expected, "n1": n1, "n2": n2}
+        variance = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
+        statistic = float((runs - expected) / math.sqrt(variance))
+        null_ref, p = "normal(0,1)", float(erfc(abs(statistic) / math.sqrt(2)))
     return TestReport(
         name="runs",
         statistic=statistic,
@@ -266,7 +270,7 @@ def runs_test(stream, alpha: float = 0.01) -> TestReport:
         p_value=p,
         alpha=alpha,
         n=n,
-        details=details,
+        details={"runs": runs, "expected": expected, "n1": n1, "n2": n2},
     )
 
 
@@ -342,7 +346,7 @@ def block_variance_test(stream, block_size: int, alpha: float = 0.01) -> TestRep
     counts = blocks.sum(axis=1).astype(float)
     p_hat = float(counts.sum()) / (m * block_size)
     if p_hat in (0.0, 1.0):
-        raise InsufficientDataError("single-symbol stream: block dispersion undefined")
+        return _degenerate("block-variance", 0.0, m * block_size, alpha, blocks=m, block_size=block_size)
     expected_var = block_size * p_hat * (1.0 - p_hat)
     stat = float(((counts - block_size * p_hat) ** 2).sum() / expected_var)
     dof = m - 1
@@ -427,9 +431,9 @@ def autocorrelation_test(stream, max_lag: int, alpha: float = 0.01) -> TestRepor
     if n < 100 * max_lag:
         raise InsufficientDataError(f"need n >= {100 * max_lag}, have {n}")
     denom = _lag_product(bits, 0)
-    if denom == 0:
-        raise InsufficientDataError("constant stream: autocorrelation undefined")
     lags = np.arange(1, max_lag + 1)
+    if denom == 0:
+        return _degenerate("autocorrelation", 0.0, n, alpha, lags=lags.tolist())
     r = np.array([_lag_product(bits, k) / denom for k in lags.tolist()])
     q = float(n * (n + 2.0) * np.sum(r**2 / (n - lags)))
     from statistics import NormalDist

@@ -194,6 +194,26 @@ def test_chsh_se_is_quadrature_sum():
     assert chsh(estimates, A, AP, B, BP).se == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize(
+    "settings, pair",
+    [
+        ((A, A + 2 * PI, B, BP), (A, B)),  # a = a' mod 2 pi: (a, b') has weight 0
+        ((A, AP, B, B), (AP, B)),  # b = b': (a, b) has weight 0
+    ],
+    ids=["a=a'", "b=b'"],
+)
+@pytest.mark.parametrize("mode", ["raw", "coincidence"])
+def test_chsh_counts_a_repeated_setting_pair_once(settings, pair, mode):
+    # two terms that name one pair are one estimate: its SE enters once, times the
+    # sum of their signs (2 for `pair`), and S is still the four terms' combination
+    schedule = SettingsSchedule("random", (A, AP), (B, BP), seed=5)
+    estimates = estimate_correlations(run_counts(SelectiveModel(2.0, 0.25), schedule, 20000, 3))
+    result = chsh(estimates, *settings, mode=mode)
+    terms = [estimates[SettingPair(x, y)].expectation(mode)[0] for x, y in analysis._chsh_pairs(*settings)]
+    assert result.s_value == terms[0] - terms[1] + terms[2] + terms[3]
+    assert result.se == 2 * estimates[SettingPair(*pair)].expectation(mode)[1]
+
+
 # --- shared-space bound ------------------------------------------------------------
 
 
@@ -489,6 +509,15 @@ def test_every_quadrature_value_is_within_its_bound_of_a_reference(case):
         assert abs(curves[key] - want) <= bound + reference_error[key], (key, bound)
 
 
+def test_a_peak_at_each_panel_centre_is_within_its_bound():
+    # w = (|sin 4 phi| / 4)**106 peaks at each panel's centre.  The 214-node rule
+    # is off by 1.7e-12 of w, and its every-other-node half agreed with it to 3e-15
+    model = SelectiveModel(53.0, 2.0)
+    curves, want = model_curves(model, 0.0, 0.0), midpoint_curves(model, 0.0, 0.0, 3**9)
+    for key in ("raw_expectation", "detection_rate"):
+        assert abs(curves[key] - want[key]) <= curves["bound"][key], key
+
+
 # small sharpnesses whose kinks the midpoint rule converges on too slowly to
 # serve as a reference; mpmath's own tanh-sinh, at 25 digits, on the same panels
 MPMATH_CASES = [(0.5, 0.25, 0.0, PI / 8), (1.5, 0.25, PI / 4, 3 * PI / 8),
@@ -573,6 +602,29 @@ def test_sweep_rows_state_the_quadrature_bound_and_the_monte_carlo_se():
             schedule = SettingsSchedule("cycle", (x,), (y,))
             estimates.update(estimate_correlations(run_counts(model, schedule, 3000, (7, di, pi))))
         expected = chsh(estimates, A, AP, B, BP, mode="coincidence")
+        assert (row.s_monte_carlo, row.s_monte_carlo_se) == (expected.s_value, expected.se)
+
+
+def test_a_sweep_point_runs_one_job_per_distinct_setting_pair(monkeypatch):
+    # a = a': the four CHSH terms name two pairs, each run once at the raw angles
+    # of the first term that names it and seeded with that term's index
+    settings, grid = (A, A, B, BP), (0.0, 2.0)
+    jobs = []
+
+    def noting(model, schedule, n_trials, master_seed):
+        jobs.append((schedule.x_settings + schedule.y_settings, master_seed))
+        return run_counts(model, schedule, n_trials, master_seed)
+
+    monkeypatch.setattr(analysis, "run_counts", noting)
+    result = calibration_sweep(grid, settings, trials_per_point=3000, master_seed=7, asymmetry=0.25)
+    assert sorted(jobs) == sorted(((A, y), (7, di, pi)) for di in range(2) for pi, y in enumerate((B, BP)))
+    for di, row in enumerate(result.rows):
+        model = SelectiveModel(grid[di], 0.25)
+        estimates = {}
+        for pi, y in enumerate((B, BP)):
+            schedule = SettingsSchedule("cycle", (A,), (y,))
+            estimates.update(estimate_correlations(run_counts(model, schedule, 3000, (7, di, pi))))
+        expected = chsh(estimates, *settings, mode="coincidence")
         assert (row.s_monte_carlo, row.s_monte_carlo_se) == (expected.s_value, expected.se)
 
 

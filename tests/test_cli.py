@@ -911,10 +911,59 @@ def test_stream_test_on_an_empty_bell_stream_is_a_data_error(tmp_path, capsys, w
     assert not report.exists()
 
 
+def test_stream_test_gives_a_one_symbol_coin_stream_the_degenerate_rejection(tmp_path):
+    # D1 turns every inserted face into the other one, so e1's default stream is all red
+    stream, report = tmp_path / "d1.csv", tmp_path / "t.json"
+    assert run(["coins-run", "--experiment", "e1", "--out", str(stream)]) == 0
+    assert run(["stream-test", "--stream", str(stream), "--report", str(report)]) == 0
+    reports = {t["name"]: t for t in json.loads(report.read_text())["tests"]}
+    assert list(reports) == list(TESTS)
+    for name in ("runs", "block-variance", "autocorrelation"):
+        assert (reports[name]["null_ref"], reports[name]["p_value"]) == ("degenerate-exact", 0.0)
+        assert reports[name]["details"]["degenerate"] is True
+    assert reports["homogeneity"]["p_value"] == 1.0 and reports["frequency"]["reject"]
+
+
+def test_stream_test_gives_an_outcome_a_wing_always_gives_the_degenerate_rejection(tmp_path, capsys):
+    from contextlab.models import FiniteContextualModel, save_model
+
+    always = ((0,), [1.0], [[1]])  # Alice's one instrument value gives +1 at both settings
+    coin = ((0, 1), [0.5, 0.5], [[1, -1]])
+    bob = {math.pi / 8: coin, 3 * math.pi / 8: coin}
+    save_model(FiniteContextualModel((0,), (0,), [[1.0]], {0.0: always, math.pi / 4: always}, bob),
+               tmp_path / "m.json")
+    stream, report = tmp_path / "s.csv", tmp_path / "t.json"
+    argv = ["bell-run", "--model", str(tmp_path / "m.json"), "--n-trials", "5000", "--out", str(stream)]
+    assert run(argv) == 0
+    assert run(["stream-test", "--stream", str(stream), "--kind", "bell", "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["absent_outcomes"] == [-1, 0]
+    assert [t["name"] for t in doc["tests"]] == [f"{name}[wing=A, outcome=+1]" for name in TESTS]
+    assert [t["null_ref"] == "degenerate-exact" for t in doc["tests"]] == [True, False, True, False, True]
+
+
 def test_outdir_env_var_applies_to_relative_paths(tmp_path, monkeypatch):
     monkeypatch.setenv("CONTEXTLAB_OUTDIR", str(tmp_path))
     assert run(["bell-run", "--n-trials", "500", "--out", "rel.csv"]) == 0
     assert (tmp_path / "rel.csv").exists()
+
+
+def test_a_relative_outdir_is_applied_to_each_output_path_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CONTEXTLAB_OUTDIR", "o")
+    assert run(["demo", "--quick", "--out-dir", "demo-out"]) == 0
+    assert run(["bell-run", "--n-trials", "2000", "--out", "s.csv"]) == 0
+    analyze = ["bell-analyze", "--stream", "o/s.csv", "--report", "a/r.json", "--plot-data", "a/p.dat"]
+    assert run(analyze) == 0
+    sweep = ["sweep", "--d-grid", "0,1", "--trials-per-point", "2000"]
+    assert run(sweep + ["--report", "w/r.json", "--plot-data", "w/p.dat"]) == 0
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {
+        *(f"o/demo-out/{name}" for name in ("demo_report.json", "demo_report.json.config.json",
+                                            "sweep.dat", "malus_curve.dat")),
+        "o/s.csv", "o/s.csv.meta.json", "o/s.csv.config.json",
+        *(f"o/{d}/{name}" for d in "aw" for name in ("r.json", "r.json.config.json", "p.dat")),
+    }
 
 
 # --- plot data -------------------------------------------------------------------------

@@ -216,8 +216,9 @@ def test_iid_blocks_accept():
 def test_block_variance_preconditions():
     with pytest.raises(InsufficientDataError):
         block_variance_test(iid_stream(2000, 0.5, 1), 100)  # only 20 blocks
-    with pytest.raises(InsufficientDataError):
-        block_variance_test(np.ones(5000, dtype=np.uint8), 100)
+    report = block_variance_test(np.ones(5000, dtype=np.uint8), 100)  # single-symbol: degenerate
+    assert (report.null_ref, report.p_value, report.reject, report.n) == ("degenerate-exact", 0.0, True, 5000)
+    assert report.details == {"blocks": 50, "block_size": 100, "degenerate": True}
 
 
 # --- homogeneity test ------------------------------------------------------------------
@@ -509,8 +510,9 @@ def test_autocorrelations_are_the_exact_ratios_rounded_once(bits, max_lag):
 def test_autocorrelation_preconditions():
     with pytest.raises(InsufficientDataError):
         autocorrelation_test(iid_stream(400, 0.5, 1), max_lag=5)
-    with pytest.raises(InsufficientDataError):
-        autocorrelation_test(np.ones(1000, dtype=np.uint8), max_lag=5)
+    report = autocorrelation_test(np.ones(1000, dtype=np.uint8), max_lag=5)  # single-symbol: degenerate
+    assert (report.null_ref, report.p_value, report.reject, report.n) == ("degenerate-exact", 0.0, True, 1000)
+    assert report.details == {"lags": [1, 2, 3, 4, 5], "degenerate": True}
 
 
 # --- two-proportion test ----------------------------------------------------------------
