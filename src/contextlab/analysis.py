@@ -412,7 +412,8 @@ def _integrands(model, x, y, phi):
     lam1, lam2 = source_angles(phi)
     da, db = lam1 - x, lam2 - y
     ca, cb = np.cos(2.0 * da), np.cos(2.0 * db)
-    w = model.survival(da, cos2=ca, power=_math_power) * model.survival(db, cos2=cb, power=_math_power)
+    w = model.survival(abs(np.cos(da)), abs(ca), _math_power)
+    w = w * model.survival(abs(np.cos(db)), abs(cb), _math_power)
     wa = w * ca
     d, asym = model.sharpness, model.asymmetry
     slope = (d + 1) * 2 * (abs(np.tan(2.0 * da)) + abs(np.tan(2.0 * db)))

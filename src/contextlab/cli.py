@@ -48,7 +48,7 @@ from .coins import (
     write_coin_csv,
 )
 from .errors import ConfigError, ContextLabError, InsufficientDataError
-from .models import SettingPair, load_model
+from .models import load_model
 from .randtests import (
     autocorrelation_test,
     block_variance_test,
@@ -146,8 +146,8 @@ def switch(value) -> bool:
 def four_angles(value) -> tuple[float, ...]:
     """The CHSH settings a, a', b, b'."""
     settings = parse_angle_list(value)
-    if len(settings) != 4:
-        raise ValueError(f"expected four angles a,a',b,b', got {len(settings)}")
+    if len(settings) != 4 or not all(map(math.isfinite, settings)):
+        raise ValueError("expected four finite angles a,a',b,b'")
     return settings
 
 
@@ -308,20 +308,19 @@ def cmd_bell_analyze(v: dict, config: dict) -> None:
 
     settings = v["chsh-settings"]
     modes = ("raw", "coincidence") if v["mode"] == "both" else (v["mode"],)
-    if all(SettingPair(x, y) in estimates for x in settings[:2] for y in settings[2:]):
-        for mode in modes:
-            try:
-                result = chsh(estimates, *settings, mode=mode)
-            except ContextLabError as exc:
-                print(f"CHSH ({mode}): unavailable ({exc})")
-                continue
-            print(f"CHSH ({mode}): S = {result.s_value:+.4f} +- {result.se:.4f}")
-            doc[f"chsh_{mode}"] = {
-                "settings": list(result.settings),
-                "s": result.s_value,
-                "se": result.se,
-                "terms": list(result.terms),
-            }
+    for mode in modes:
+        try:
+            result = chsh(estimates, *settings, mode=mode)
+        except ContextLabError as exc:
+            print(f"CHSH ({mode}): unavailable ({exc})")
+            continue
+        print(f"CHSH ({mode}): S = {result.s_value:+.4f} +- {result.se:.4f}")
+        doc[f"chsh_{mode}"] = {
+            "settings": list(result.settings),
+            "s": result.s_value,
+            "se": result.se,
+            "terms": list(result.terms),
+        }
 
     try:
         ns = no_signaling_report(folded, v["alpha-raw"], v["alpha-postselected"])

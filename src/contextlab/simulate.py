@@ -104,17 +104,15 @@ class SelectiveModel:
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be a finite number >= 0")
 
-    def survival(self, delta, cos=None, cos2=None, power=operator.pow):
-        """Detection probability at `delta`, reusing a caller's np.cos(delta) or
-        np.cos(2 * delta).  `power(base, exponent)` raises the bases: `**` by
-        default, not np.power, which skips the sqrt/square fast paths."""
-        delta = np.asarray(delta, dtype=float)
+    def survival(self, a, b, power=operator.pow):
+        """Detection probability from a wing's a = |cos delta| and b = |cos 2 delta|
+        arrays.  `power(base, exponent)` raises the bases: `**` by default, not
+        np.power, which skips the sqrt/square fast paths."""
         if self.sharpness == 0.0:  # x ** 0.0 == 1.0 for every float, nan included
-            return np.ones_like(delta)
-        base = np.abs(np.cos(2.0 * delta) if cos2 is None else cos2)
+            return np.ones_like(b)
         if self.asymmetry != 0.0:
-            base = base * power(np.abs(np.cos(delta) if cos is None else cos), self.asymmetry)
-        return power(base, self.sharpness)
+            b = b * power(a, self.asymmetry)
+        return power(b, self.sharpness)
 
     def source(self, u_src):
         return source_angles(u_src * math.pi)
@@ -247,7 +245,7 @@ def _outcome(model, delta, u) -> np.ndarray:
     (c <= 1, sp >= 0); a nan delta gives 0.
     """
     cos = np.cos(delta)
-    sp = model.survival(delta, cos)
+    sp = model.survival(np.abs(cos), np.abs(np.cos(2.0 * delta)))
     return 2 * (u < sp * cos**2).view(np.int8) - (u < sp).view(np.int8)
 
 
@@ -576,10 +574,10 @@ def write_rows(path, header, blocks, tail, metadata: dict | None = None) -> None
 
     Blocks are written in batches of `WRITE_BATCH_ROWS` rows; each distinct code's
     tail (the other fields and CRLF, unquoted as `csv.writer` writes them) is
-    formatted once.  Rows go to `<path>.part`, which replaces `path` after the last
-    row or is removed if a block raises; `metadata` then goes to the JSON sidecar.
+    formatted once per batch, so no more than one batch's tails are held at once.
+    Rows go to `<path>.part`, which replaces `path` after the last row or is
+    removed if a block raises; `metadata` then goes to the JSON sidecar.
     """
-    text: dict = {}
     part = Path(f"{path}.part")
     try:
         with part.open("w", newline="") as fh:
@@ -588,7 +586,7 @@ def write_rows(path, header, blocks, tail, metadata: dict | None = None) -> None
                 for start in range(0, len(keys), WRITE_BATCH_ROWS):
                     rows = slice(start, start + WRITE_BATCH_ROWS)
                     batch = codes[rows].tolist()
-                    text.update((code, tail(code)) for code in set(batch).difference(text))
+                    text = {code: tail(code) for code in set(batch)}
                     lines = zip(keys[rows].tolist(), batch)
                     fh.write("".join([str(key) + text[code] for key, code in lines]))
         os.replace(part, path)

@@ -365,7 +365,8 @@ def untiled_curves(model, x, y, nodes, tile=None):
             da, db = phi - x, phi + PI / 2 - y
             ca, cb = np.cos(2.0 * da), np.cos(2.0 * db)
             power = analysis._math_power
-            w = model.survival(da, cos2=ca, power=power) * model.survival(db, cos2=cb, power=power)
+            w = model.survival(abs(np.cos(da)), abs(ca), power)
+            w = w * model.survival(abs(np.cos(db)), abs(cb), power)
             for k, f in enumerate((w, w * ca * cb, w * ca, w * cb)):
                 terms[k] += (f * weight).tolist()
     w, p, pa, pb = (math.fsum(v) for v in terms)
@@ -459,7 +460,7 @@ def midpoint_curves(model, x, y, n):
     phi = (np.arange(n) + 0.5) * (PI / n)
     da, db = phi - x, phi + PI / 2 - y
     ca, cb = np.cos(2.0 * da), np.cos(2.0 * db)
-    w = model.survival(da, cos2=ca) * model.survival(db, cos2=cb)
+    w = model.survival(abs(np.cos(da)), abs(ca)) * model.survival(abs(np.cos(db)), abs(cb))
     total, p, pa, pb = (math.fsum(v.tolist()) for v in (w, w * ca * cb, w * ca, w * cb))
     return {
         "raw_expectation": p / n,

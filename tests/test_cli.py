@@ -141,6 +141,41 @@ def test_unparsable_numbers_are_usage_errors(capsys, streams, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["bell-analyze", "--stream", "BELL", "--chsh-settings"], "chsh-settings"),
+        (["sweep", "--trials-per-point", "1000", "--settings"], "settings"),
+    ],
+    ids=["bell-analyze", "sweep"],
+)
+def test_non_finite_chsh_angles_are_usage_errors(capsys, streams, argv, field, angle):
+    # bell-analyze exited 0 with no CHSH line, and sweep ran every quadrature rule
+    # on the nan before it failed
+    argv = [streams.get(a, a) for a in argv] + [f"0,{angle},pi/8,3pi/8"]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert f"usage error: {field}: " in captured.err
+    assert "(expected four finite angles a,a',b,b')" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_a_stream_without_the_chsh_pairs_reports_them_unavailable(tmp_path, capsys):
+    # this stream holds one setting pair; no CHSH line was printed at all
+    stream, report = str(tmp_path / "s.csv"), tmp_path / "r.json"
+    argv = ["bell-run", "--schedule", "cycle", "--x-settings", "0", "--y-settings", "pi/8"]
+    assert run_command(argv + ["--n-trials", "500", "--out", stream]) == 0
+    capsys.readouterr()
+    assert run_command(["bell-analyze", "--stream", stream, "--report", str(report)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHSH")]
+    assert [line.partition(":")[0] for line in lines] == ["CHSH (raw)", "CHSH (coincidence)"]
+    for line in lines:
+        assert ": unavailable (setting pair SettingPair(x=0.0, y=" in line
+        assert line.endswith(" missing from the stream)")
+    assert not [key for key in json.loads(report.read_text()) if key.startswith("chsh")]
+
+
 @pytest.mark.parametrize(
     "field",
     [

@@ -349,7 +349,7 @@ def test_selective_rejection_probability_tracks_survival_law():
     n = 200000
     u = (np.arange(n) + 0.5) / n
     out = wing_outcome(model, np.full(n, delta), u)
-    survival = float(model.survival(delta))
+    survival = float(model.survival(abs(math.cos(delta)), abs(math.cos(2 * delta))))
     assert abs(np.mean(out == 0) - (1 - survival)) < 1e-4
     assert abs(np.mean(out == 1) - survival * math.cos(delta) ** 2) < 1e-4
 
@@ -507,6 +507,32 @@ def test_float32_thresholds_stay_within_a_quarter_of_the_relative_margin(sharpne
     with np.errstate(under="ignore"):
         sp = np.ones((2, len(a))) if sharpness == 0 else (b * a**eta if asymmetry else b) ** s
         want = np.stack([sp * a**2, sp], axis=1)
+    err = np.abs(found - want)
+    normal = want >= 2.0**-126
+    assert (err[normal] / want[normal]).max(initial=0.0) <= simulate._R / 4
+    assert err[~normal].max(initial=0.0) <= 2.0**-126
+
+
+_BOX_BASES = st.one_of(st.just(0.0), st.floats(2.0**-39, 1, width=32))  # as the kernel forms them
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(_BOX_BASES, _BOX_BASES), min_size=1, max_size=32),
+    st.floats(0, 16, width=32),
+    st.floats(0, 2, width=32),
+)
+def test_float32_ends_are_the_survival_law_on_a_point_box(pairs, sharpness, asymmetry):
+    # with lo = hi and exponents float32 holds exactly, `_outward` rounds nothing, so
+    # `_ends` is the one survival law rounded to float32.  Not bit for bit: numpy's
+    # float32 power of an array exponent rounds differently by the arrays' layout
+    box = np.stack([np.float32(pairs).T] * 2)  # (lo or hi, a or b, value)
+    model = SelectiveModel(sharpness, asymmetry)
+    found = simulate._ends(model, box).astype(float)
+    a, b = box[:, 0].astype(float), box[:, 1].astype(float)
+    with np.errstate(under="ignore"):
+        sp = model.survival(a, b)
+        want = np.stack([a**2 * sp, sp], axis=1)
     err = np.abs(found - want)
     normal = want >= 2.0**-126
     assert (err[normal] / want[normal]).max(initial=0.0) <= simulate._R / 4
@@ -933,3 +959,28 @@ def test_generation_memory_stays_at_tiles_not_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20, peak
+
+
+def test_the_stream_writer_holds_one_batch_of_row_tails(tmp_path):
+    """tracemalloc peak of `write_run_csv` at 16,384 and at 65,536 trials.
+
+    300 x 300 random settings give 810,000 row tails, nearly all distinct
+    among these trials.  A batch holds at most `WRITE_BATCH_ROWS` distinct
+    tails: each a str of at most 52 ASCII characters here (101 B), keyed by an
+    int code (28 B), with at most 72 B of dict table per entry however full the
+    table, so under 224 B each and 3.5 MiB a batch.  A writer that keeps every
+    tail it formats grows by three batches' worth between the two runs: 3.0 to
+    9.9 MiB as measured when it did.
+    """
+    settings_ = tuple(k / 300 for k in range(300))
+    model, schedule = SelectiveModel(2.0, 0.25), SettingsSchedule("random", settings_, settings_, 3)
+    write_run_csv(tmp_path / "s.csv", model, schedule, 1000, 1, chunk_size=4096)
+    peaks = []
+    for n in (16_384, 65_536):
+        tracemalloc.start()
+        try:
+            write_run_csv(tmp_path / "s.csv", model, schedule, n, 1, chunk_size=4096)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < simulate.WRITE_BATCH_ROWS * 224, peaks

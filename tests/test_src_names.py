@@ -1,9 +1,10 @@
-"""Every private module-level name in `src/contextlab` has a reader, and no module
-imports a name it never uses.
+"""Every private module-level name in `src/contextlab` has a reader in `src/`,
+every public one a reader in `src/`, `bench/`, `demos/` or `tests/`, and no
+module imports a name it never uses.
 
-A helper stranded by a merge (a private function, class or constant whose last
-caller moved away) or an import left behind by one would otherwise stay until
-someone happened to read past it.  These tests only parse the source.
+A helper stranded by a merge (a function, class or constant whose last caller
+moved away) or an import left behind by one would otherwise stay until someone
+happened to read past it.  These tests only parse the source.
 """
 
 import ast
@@ -11,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "contextlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "contextlab"
 MODULES = sorted(SRC.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+READERS = [ast.parse(p.read_text(), filename=str(p))
+           for d in ("src", "bench", "demos", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def read_names(tree) -> set[str]:
@@ -27,8 +31,8 @@ def read_names(tree) -> set[str]:
     return names
 
 
-def private_definitions(tree):
-    """The module-level functions, classes and constants named `_x` (not dunders)."""
+def definitions(tree):
+    """The module-level functions, classes and constants, dunders aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -37,7 +41,7 @@ def private_definitions(tree):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+        yield from (name for name in names if not (name.startswith("__") and name.endswith("__")))
 
 
 def imported_names(tree):
@@ -56,8 +60,17 @@ def test_every_module_is_parsed():
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_private_module_names_are_read_somewhere_in_src(name):
     read = set().union(*map(read_names, TREES.values()))
-    stranded = sorted(set(private_definitions(TREES[name])) - read)
+    private = {n for n in definitions(TREES[name]) if n.startswith("_")}
+    stranded = sorted(private - read)
     assert not stranded, f"{name}: {stranded} are never read in src/"
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_public_module_names_are_read_somewhere(name):
+    read = set().union(*map(read_names, READERS))
+    public = {n for n in definitions(TREES[name]) if not n.startswith("_")}
+    stranded = sorted(public - read)
+    assert not stranded, f"{name}: {stranded} are never read in src/, bench/, demos/ or tests/"
 
 
 @pytest.mark.parametrize("name", sorted(TREES))
